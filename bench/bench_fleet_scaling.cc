@@ -155,7 +155,6 @@ FleetRow RunRow(int num_workers, serve::WireClient::Wire wire, bool batch,
   }
   fleet::TcpTransport transport(endpoints, wire);
   fleet::BrokerConfig broker_config;
-  broker_config.mode = fleet::BrokerConfig::Mode::kAffinity;
   broker_config.retries = 1;
   broker_config.backoff_ms = 1;
   fleet::BrokerSession broker(broker_config, transport);

@@ -141,8 +141,7 @@ grouprec::GroupTopK BucketRecommendation(const FormationProblem& problem,
 
 FormationResult SelectAndAssemble(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
-    std::vector<std::pair<double, const Bucket*>> scored,
-    const ResidualRecommender* residual_recommender) {
+    std::vector<std::pair<double, const Bucket*>> scored) {
   const bool lm = problem.semantics == Semantics::kLeastMisery;
   FormationResult result;
   const int ell = problem.max_groups;
@@ -274,9 +273,7 @@ FormationResult SelectAndAssemble(
     residual.members = std::move(residual_members);
     std::sort(residual.members.begin(), residual.members.end());
     residual.recommendation =
-        residual_recommender != nullptr && *residual_recommender
-            ? (*residual_recommender)(residual.members)
-            : ComputeGroupList(problem, scorer, residual.members);
+        ComputeGroupList(problem, scorer, residual.members);
     residual.satisfaction = AggregateListSatisfaction(
         problem, static_cast<int>(residual.members.size()),
         residual.recommendation);

@@ -1,7 +1,6 @@
 #ifndef GROUPFORM_CORE_BUCKETING_H_
 #define GROUPFORM_CORE_BUCKETING_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -67,26 +66,15 @@ grouprec::GroupTopK BucketRecommendation(const FormationProblem& problem,
                                          const grouprec::GroupScorer& scorer,
                                          const Bucket& bucket);
 
-/// Optional replacement for the residual group's top-k computation in
-/// SelectAndAssemble's step 3 — the one full-catalogue scan of the
-/// greedy assembly. Must return exactly what ComputeGroupList(problem,
-/// scorer, members) would (the scatter/gather broker satisfies this by
-/// merging per-item-range worker partials under MergeShardTopK, which is
-/// exact). Receives the residual members, sorted ascending.
-using ResidualRecommender =
-    std::function<grouprec::GroupTopK(std::span<const UserId>)>;
-
 /// Steps 2 and 3 of the greedy framework, shared by GreedyFormer and
 /// IncrementalFormer: selects the best ell-1 group slots from the scored
 /// buckets (with LM bucket splitting — see greedy.h), assembles the
 /// residual group, and totals the objective. The caller sets the result's
 /// algorithm label. `scored` entries must point at buckets that outlive
-/// the call. A non-null, non-empty `residual_recommender` replaces the
-/// residual group's ComputeGroupList call (see above).
+/// the call.
 FormationResult SelectAndAssemble(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
-    std::vector<std::pair<double, const Bucket*>> scored,
-    const ResidualRecommender* residual_recommender = nullptr);
+    std::vector<std::pair<double, const Bucket*>> scored);
 
 }  // namespace groupform::core
 

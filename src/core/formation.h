@@ -166,9 +166,8 @@ std::vector<GroupScore> ScoreGroups(
 /// the library tie rule (grouprec::BetterScoredItem — score desc, item
 /// asc, a strict total order because items are unique across disjoint
 /// shards), truncate to k. Exact because an item in the global top-k is
-/// necessarily in its own shard's top-k. Shared by ScoreGroups'
-/// within-group sharding and the fleet broker's scatter/gather residual
-/// merge, so both paths are literally the same code.
+/// necessarily in its own shard's top-k. Used by ScoreGroups'
+/// within-group sharding.
 grouprec::GroupTopK MergeShardTopK(
     std::span<const grouprec::GroupTopK> partials, int k);
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "core/distributed_greedy.h"
 #include "eval/sweep.h"
 
 namespace groupform::fleet {
@@ -18,8 +17,7 @@ using common::StrFormat;
 BrokerSession::BrokerSession(BrokerConfig config, Transport& transport)
     : config_(config),
       transport_(transport),
-      ring_(transport.num_workers(), config.virtual_nodes),
-      session_(config.session) {}
+      ring_(transport.num_workers(), config.virtual_nodes) {}
 
 StatusOr<std::string> BrokerSession::CallWithRetry(int worker,
                                                    const std::string& doc) {
@@ -38,96 +36,8 @@ StatusOr<std::string> BrokerSession::CallWithRetry(int worker,
   return result;
 }
 
-bool BrokerSession::ScatterEligible(const serve::Request& request) const {
-  // The distributed fold replicates the greedy algorithm specifically;
-  // every other solver — and the delta routes, whose epoch state lives
-  // in worker caches — keeps instance-affinity routing. candidate_depth
-  // must be 0: that is the full-catalogue residual scan worth
-  // scattering, and the one RunDistributedGreedy distributes.
-  return config_.mode == BrokerConfig::Mode::kScatter &&
-         request.solver == "greedy" && !request.is_delta &&
-         request.problem.candidate_depth == 0;
-}
-
-StatusOr<serve::ShardResponse> BrokerSession::CallShard(
-    const serve::ShardRequest& shard, const std::string& routing_key) {
-  const int worker = ring_.WorkerFor(routing_key);
-  GF_ASSIGN_OR_RETURN(const std::string line,
-                      CallWithRetry(worker, serve::RenderShardRequest(shard)));
-  GF_ASSIGN_OR_RETURN(serve::ShardResponse response,
-                      serve::ParseShardResponseLine(line));
-  if (!response.ok) return response.status;
-  return response;
-}
-
-serve::Response BrokerSession::ExecuteScatter(
-    const serve::Request& request,
-    std::chrono::steady_clock::time_point received_at) {
-  const std::string instance_key = request.instance.CanonicalKey();
-  serve::ShardRequest base;
-  base.id = request.id;
-  base.instance = request.instance;
-  base.problem = request.problem;
-
-  core::DistributedGreedyHooks hooks;
-  hooks.user_shards = transport_.num_workers();
-  hooks.residual_shard_items = config_.residual_shard_items;
-  hooks.user_topk =
-      [&](UserId begin,
-          UserId end) -> StatusOr<std::vector<std::vector<data::RatingEntry>>> {
-    serve::ShardRequest shard = base;
-    shard.phase = "topk_users";
-    shard.user_begin = begin;
-    shard.user_end = end;
-    GF_ASSIGN_OR_RETURN(
-        const serve::ShardResponse response,
-        CallShard(shard, StrFormat("%s#u%d", instance_key.c_str(), begin)));
-    std::vector<std::vector<data::RatingEntry>> lists;
-    lists.reserve(response.users.size());
-    for (const serve::ShardList& user : response.users) {
-      std::vector<data::RatingEntry> list;
-      list.reserve(user.items.size());
-      for (std::size_t j = 0; j < user.items.size(); ++j) {
-        list.push_back({user.items[j], user.scores[j]});
-      }
-      lists.push_back(std::move(list));
-    }
-    return lists;
-  };
-  hooks.group_topk_range =
-      [&](std::span<const UserId> members, ItemId begin,
-          ItemId end) -> StatusOr<grouprec::GroupTopK> {
-    serve::ShardRequest shard = base;
-    shard.phase = "topk_items";
-    shard.members.assign(members.begin(), members.end());
-    shard.item_begin = begin;
-    shard.item_end = end;
-    GF_ASSIGN_OR_RETURN(
-        const serve::ShardResponse response,
-        CallShard(shard, StrFormat("%s#i%d", instance_key.c_str(), begin)));
-    grouprec::GroupTopK list;
-    list.items.reserve(response.list.items.size());
-    for (std::size_t j = 0; j < response.list.items.size(); ++j) {
-      list.items.push_back(
-          {response.list.items[j], response.list.scores[j]});
-    }
-    return list;
-  };
-
-  const serve::SolveHook solve =
-      [&](const core::FormationProblem& problem)
-      -> StatusOr<core::FormationResult> {
-    return core::RunDistributedGreedy(problem, hooks);
-  };
-  return session_.ExecuteWithSolver(request, received_at, solve);
-}
-
-std::string BrokerSession::RouteOne(
-    const serve::Request& request, const std::string& doc,
-    std::chrono::steady_clock::time_point received_at) {
-  if (ScatterEligible(request)) {
-    return serve::RenderResponse(ExecuteScatter(request, received_at));
-  }
+std::string BrokerSession::RouteOne(const serve::Request& request,
+                                    const std::string& doc) {
   const int worker = ring_.WorkerFor(request.instance.CanonicalKey());
   auto response_or = CallWithRetry(worker, doc);
   if (response_or.ok()) return *std::move(response_or);
@@ -144,9 +54,8 @@ std::string BrokerSession::RouteOne(
   return serve::RenderResponse(response);
 }
 
-std::string BrokerSession::ExecuteBatch(
-    const serve::BatchRequest& batch, const std::string& line,
-    std::chrono::steady_clock::time_point received_at) {
+std::string BrokerSession::ExecuteBatch(const serve::BatchRequest& batch,
+                                        const std::string& line) {
   const std::size_t n = batch.requests.size();
   std::vector<std::string> docs(n);
   // Element documents come verbatim off the wire when the envelope is
@@ -170,14 +79,9 @@ std::string BrokerSession::ExecuteBatch(
   std::vector<std::vector<std::size_t>> by_worker(
       static_cast<std::size_t>(transport_.num_workers()));
   for (std::size_t i = 0; i < n; ++i) {
-    const serve::Request& request = batch.requests[i];
-    if (ScatterEligible(request)) {
-      docs[i] = serve::RenderResponse(ExecuteScatter(request, received_at));
-    } else {
-      by_worker[static_cast<std::size_t>(
-                    ring_.WorkerFor(request.instance.CanonicalKey()))]
-          .push_back(i);
-    }
+    by_worker[static_cast<std::size_t>(
+                  ring_.WorkerFor(batch.requests[i].instance.CanonicalKey()))]
+        .push_back(i);
   }
   const auto run_worker = [&](int w) {
     const std::vector<std::size_t>& indices =
@@ -203,7 +107,7 @@ std::string BrokerSession::ExecuteBatch(
       // for itself, exactly as if the envelope had never been grouped.
     }
     for (const std::size_t i : indices) {
-      docs[i] = RouteOne(batch.requests[i], element_docs[i], received_at);
+      docs[i] = RouteOne(batch.requests[i], element_docs[i]);
     }
   };
   std::vector<int> busy;
@@ -211,9 +115,10 @@ std::string BrokerSession::ExecuteBatch(
     if (!by_worker[static_cast<std::size_t>(w)].empty()) busy.push_back(w);
   }
   // Sub-batches are RPC waits, so all but one fan out on dedicated
-  // threads — same rationale as the distributed-greedy hooks: the shared
-  // pool's threads may be exactly what an in-process worker needs to
-  // answer. The first sub-batch rides the calling thread; spawning is
+  // threads, not the shared ThreadPool: the broker's HandleLine already
+  // runs inside a pool job, where a nested ParallelFor degrades to
+  // serial, and an in-process worker may need exactly those pool threads
+  // to answer. The first sub-batch rides the calling thread; spawning is
   // per-envelope overhead worth avoiding where the wait is unavoidable
   // anyway.
   if (!busy.empty()) {
@@ -229,35 +134,23 @@ std::string BrokerSession::ExecuteBatch(
 }
 
 std::string BrokerSession::HandleLine(
-    const std::string& line,
-    std::chrono::steady_clock::time_point received_at) {
-  serve::Response response;
+    const std::string& line, std::chrono::steady_clock::time_point) {
   try {
     auto any_or = serve::ParseAnyRequestLine(line);
-    if (!any_or.ok()) {
-      // Malformed lines answer locally with the exact bytes a worker's
-      // parser would produce — same parser, same renderer.
-      response.state = eval::SweepCellState::kErr;
-      response.status = any_or.status();
-    } else if (any_or->is_shard) {
-      // Brokers can serve shard RPCs themselves (broker-behind-broker
-      // topologies); the local session holds the instance either way.
-      return serve::RenderShardResponse(
-          session_.ExecuteShard(any_or->shard));
-    } else if (any_or->is_batch) {
+    // Malformed lines answer locally with the exact bytes a worker would
+    // produce — same parser, same RenderLineError.
+    if (!any_or.ok()) return serve::RenderLineError(line, any_or.status());
+    if (any_or->is_batch) {
       // Per-worker sub-batches, spliced back in request order —
       // byte-identical to a worker-local batch because per-element
       // response semantics are independent by contract (and pinned by
       // the fleet equivalence tests).
-      return ExecuteBatch(any_or->batch, line, received_at);
-    } else {
-      return RouteOne(any_or->request, line, received_at);
+      return ExecuteBatch(any_or->batch, line);
     }
+    return RouteOne(any_or->request, line);
   } catch (const std::exception& error) {
-    response.state = eval::SweepCellState::kErr;
-    response.status = Status::Internal(error.what());
+    return serve::RenderLineError(line, Status::Internal(error.what()));
   }
-  return serve::RenderResponse(response);
 }
 
 }  // namespace groupform::fleet

@@ -6,19 +6,14 @@
 // transports as a single-process session — ServePipe, TcpServer, both
 // wires — so a client cannot tell a broker from a worker by bytes alone
 // (the broker-transparency contract, pinned by the fleet equivalence
-// tests). Two routing modes:
+// tests).
 //
-//   * instance affinity — each request forwards, verbatim, to the worker
-//     that consistent-hashing assigns its instance cache key. Workers
-//     answer from their own caches; the fleet's aggregate cache is the
-//     sum of the workers' (the memory-split mode). The worker's response
-//     document returns to the client verbatim.
-//   * scatter/gather — eligible requests (greedy, non-delta, full-
-//     catalogue candidates) split one solve across every worker:
-//     per-user top-k extraction by user range, the residual group's
-//     catalogue scan by item range (groupform.shard/1), folded and
-//     merged locally so the response is byte-identical to a
-//     single-process solve. Ineligible requests fall back to affinity.
+// Routing is instance affinity: each request forwards, verbatim, to the
+// worker that consistent-hashing assigns its instance cache key. Workers
+// answer from their own caches; the fleet's aggregate cache is the sum
+// of the workers' (the memory-split mode). The worker's response
+// document returns to the client verbatim. The broker holds no instances
+// and runs no solver itself.
 //
 // Failure policy, per request: a failed worker call retries once on a
 // fresh connection after a bounded backoff; still failing, the request
@@ -38,19 +33,13 @@
 namespace groupform::fleet {
 
 struct BrokerConfig {
-  enum class Mode { kAffinity, kScatter };
-  Mode mode = Mode::kAffinity;
   /// Re-attempts after a failed worker call (on a fresh connection).
   int retries = 1;
   /// Pause before each re-attempt.
   int backoff_ms = 50;
   /// Virtual nodes per worker on the routing ring.
   int virtual_nodes = 64;
-  /// Scatter mode: item-range width of the residual group's distributed
-  /// scan (the ScoreGroupsOptions::shard_min_items analogue).
-  std::int64_t residual_shard_items = 4096;
-  /// The broker's local session (scatter-mode solves and shard requests
-  /// load instances through it; pure-affinity brokers keep it idle).
+  /// Unread by the broker; kept only because perfbench/layers.cc sets it.
   serve::SessionConfig session;
 };
 
@@ -71,32 +60,19 @@ class BrokerSession : public serve::LineHandler {
   /// backoff + retry round per configured attempt.
   common::StatusOr<std::string> CallWithRetry(int worker,
                                               const std::string& doc);
-  /// Routes one parsed request (whose canonical document is `doc`) and
-  /// returns its canonical response document.
+  /// Forwards one parsed request (whose canonical document is `doc`) to
+  /// its owner worker and returns the canonical response document.
   std::string RouteOne(const serve::Request& request,
-                       const std::string& doc,
-                       std::chrono::steady_clock::time_point received_at);
-  bool ScatterEligible(const serve::Request& request) const;
-  /// The batch envelope: affinity-routable elements group into one
-  /// sub-batch per owner worker (dispatched concurrently, gathered
-  /// verbatim), scatter-eligible elements keep the per-element scatter
-  /// path, and the documents splice back in request order.
-  std::string ExecuteBatch(
-      const serve::BatchRequest& batch, const std::string& line,
-      std::chrono::steady_clock::time_point received_at);
-  /// The scatter/gather path: local session solve with the distributed
-  /// greedy hooks bound to the worker fleet.
-  serve::Response ExecuteScatter(
-      const serve::Request& request,
-      std::chrono::steady_clock::time_point received_at);
-  /// Renders, sends, and parses one shard RPC routed by `routing_key`.
-  common::StatusOr<serve::ShardResponse> CallShard(
-      const serve::ShardRequest& shard, const std::string& routing_key);
+                       const std::string& doc);
+  /// The batch envelope: elements group into one sub-batch per owner
+  /// worker (dispatched concurrently, gathered verbatim), and the
+  /// documents splice back in request order.
+  std::string ExecuteBatch(const serve::BatchRequest& batch,
+                           const std::string& line);
 
   BrokerConfig config_;
   Transport& transport_;
   HashRing ring_;
-  serve::Session session_;
 };
 
 }  // namespace groupform::fleet

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <optional>
 #include <string>
 #include <utility>
@@ -731,8 +732,7 @@ StatusOr<ProblemSpec> ParseProblem(const JsonValue* value) {
   return spec;
 }
 
-/// The canonical "problem" object, shared by RenderRequest and
-/// RenderShardRequest so both wires agree byte-for-byte. The constraints
+/// The canonical "problem" object of RenderRequest. The constraints
 /// object renders only when non-empty — and then only its non-default
 /// fields — so every unconstrained request line (and golden) is unchanged.
 void RenderProblem(eval::JsonWriter& writer, const ProblemSpec& spec) {
@@ -1401,238 +1401,6 @@ common::StatusOr<BatchResponse> ParseBatchResponseLine(
   return batch;
 }
 
-// ---------------------------------------------------------------------------
-// Shard verbs (DESIGN.md §16.3)
-
-namespace {
-
-void RenderShardList(eval::JsonWriter& writer, const ShardList& list) {
-  writer.BeginObject();
-  writer.Key("items").BeginArray();
-  for (const ItemId item : list.items) writer.Int(item);
-  writer.EndArray();
-  writer.Key("scores").BeginArray();
-  for (const double score : list.scores) writer.Number(score);
-  writer.EndArray();
-  writer.EndObject();
-}
-
-StatusOr<ShardList> ParseShardList(const char* key, const JsonValue& value) {
-  if (value.type != JsonValue::Type::kObject) {
-    return WrongType(key, value, "object");
-  }
-  const JsonValue* items = value.Find("items");
-  const JsonValue* scores = value.Find("scores");
-  if (items == nullptr || items->type != JsonValue::Type::kArray ||
-      scores == nullptr || scores->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument(common::StrFormat(
-        "field \"%s\": expected \"items\" and \"scores\" arrays", key));
-  }
-  if (items->array.size() != scores->array.size()) {
-    return Status::InvalidArgument(common::StrFormat(
-        "field \"%s\": %zu items vs %zu scores", key, items->array.size(),
-        scores->array.size()));
-  }
-  ShardList list;
-  list.items.reserve(items->array.size());
-  list.scores.reserve(scores->array.size());
-  for (const JsonValue& element : items->array) {
-    GF_ASSIGN_OR_RETURN(const std::int32_t item, IdFromNumber(element, key));
-    list.items.push_back(item);
-  }
-  for (const JsonValue& element : scores->array) {
-    if (element.type != JsonValue::Type::kNumber) {
-      return WrongType(key, element, "number");
-    }
-    list.scores.push_back(element.number);
-  }
-  return list;
-}
-
-common::StatusOr<ShardRequest> ParseShardRequestDoc(const JsonValue& root) {
-  if (root.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("shard request is not a JSON object");
-  }
-  GF_ASSIGN_OR_RETURN(const std::string schema,
-                      FieldString(root, "schema", std::nullopt));
-  if (schema != kShardRequestSchema) {
-    return Status::InvalidArgument(
-        common::StrFormat("field \"schema\": expected \"%s\", got \"%s\"",
-                          kShardRequestSchema, schema.c_str()));
-  }
-  ShardRequest request;
-  GF_ASSIGN_OR_RETURN(request.id, FieldString(root, "id", std::string()));
-  GF_ASSIGN_OR_RETURN(request.phase,
-                      FieldString(root, "phase", std::nullopt));
-  GF_RETURN_IF_ERROR(
-      CheckOneOf("phase", request.phase, {"topk_users", "topk_items"}));
-  const JsonValue* instance = root.Find("instance");
-  if (instance == nullptr) {
-    return Status::InvalidArgument("missing required field \"instance\"");
-  }
-  GF_ASSIGN_OR_RETURN(request.instance, ParseInstance(*instance));
-  GF_ASSIGN_OR_RETURN(request.problem, ParseProblem(root.Find("problem")));
-  if (request.phase == "topk_users") {
-    GF_ASSIGN_OR_RETURN(const long long begin,
-                        FieldInt(root, "user_begin", 0, /*min_value=*/0,
-                                 kMaxInt32Field));
-    GF_ASSIGN_OR_RETURN(const long long end,
-                        FieldInt(root, "user_end", 0, /*min_value=*/0,
-                                 kMaxInt32Field));
-    if (end < begin) {
-      return Status::InvalidArgument(common::StrFormat(
-          "field \"user_end\": %lld is before user_begin %lld", end, begin));
-    }
-    request.user_begin = static_cast<std::int32_t>(begin);
-    request.user_end = static_cast<std::int32_t>(end);
-    return request;
-  }
-  const JsonValue* members = root.Find("members");
-  if (members == nullptr || members->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument(
-        "missing required array field \"members\" (phase topk_items)");
-  }
-  request.members.reserve(members->array.size());
-  for (const JsonValue& element : members->array) {
-    GF_ASSIGN_OR_RETURN(const std::int32_t user,
-                        IdFromNumber(element, "members"));
-    request.members.push_back(user);
-  }
-  GF_ASSIGN_OR_RETURN(const long long begin,
-                      FieldInt(root, "item_begin", 0, /*min_value=*/0,
-                               kMaxInt32Field));
-  GF_ASSIGN_OR_RETURN(const long long end,
-                      FieldInt(root, "item_end", 0, /*min_value=*/0,
-                               kMaxInt32Field));
-  if (end < begin) {
-    return Status::InvalidArgument(common::StrFormat(
-        "field \"item_end\": %lld is before item_begin %lld", end, begin));
-  }
-  request.item_begin = static_cast<std::int32_t>(begin);
-  request.item_end = static_cast<std::int32_t>(end);
-  return request;
-}
-
-}  // namespace
-
-common::StatusOr<ShardRequest> ParseShardRequestLine(
-    const std::string& line) {
-  JsonParser parser(line);
-  GF_ASSIGN_OR_RETURN(const JsonValue root, parser.Parse());
-  return ParseShardRequestDoc(root);
-}
-
-std::string RenderShardRequest(const ShardRequest& request) {
-  eval::JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("schema").String(kShardRequestSchema);
-  writer.Key("id").String(request.id);
-  writer.Key("phase").String(request.phase);
-  writer.Key("instance");
-  RenderInstance(writer, request.instance);
-  writer.Key("problem");
-  RenderProblem(writer, request.problem);
-  if (request.phase == "topk_items") {
-    writer.Key("members").BeginArray();
-    for (const UserId user : request.members) writer.Int(user);
-    writer.EndArray();
-    writer.Key("item_begin").Int(request.item_begin);
-    writer.Key("item_end").Int(request.item_end);
-  } else {
-    writer.Key("user_begin").Int(request.user_begin);
-    writer.Key("user_end").Int(request.user_end);
-  }
-  writer.EndObject();
-  return writer.str();
-}
-
-std::string RenderShardResponse(const ShardResponse& response) {
-  eval::JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("schema").String(kShardResponseSchema);
-  writer.Key("id").String(response.id);
-  writer.Key("state").String(response.ok ? "OK" : "ERR");
-  if (!response.ok) {
-    writer.Key("code").String(
-        common::StatusCodeToString(response.status.code()));
-    writer.Key("message").String(response.status.message());
-    writer.EndObject();
-    return writer.str();
-  }
-  writer.Key("phase").String(response.phase);
-  if (response.phase == "topk_items") {
-    writer.Key("list");
-    RenderShardList(writer, response.list);
-  } else {
-    writer.Key("users").BeginArray();
-    for (const ShardList& list : response.users) {
-      RenderShardList(writer, list);
-    }
-    writer.EndArray();
-  }
-  writer.EndObject();
-  return writer.str();
-}
-
-common::StatusOr<ShardResponse> ParseShardResponseLine(
-    const std::string& line) {
-  JsonParser parser(line);
-  GF_ASSIGN_OR_RETURN(const JsonValue root, parser.Parse());
-  if (root.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("shard response is not a JSON object");
-  }
-  GF_ASSIGN_OR_RETURN(const std::string schema,
-                      FieldString(root, "schema", std::nullopt));
-  if (schema != kShardResponseSchema) {
-    return Status::InvalidArgument(
-        common::StrFormat("field \"schema\": expected \"%s\", got \"%s\"",
-                          kShardResponseSchema, schema.c_str()));
-  }
-  ShardResponse response;
-  GF_ASSIGN_OR_RETURN(response.id, FieldString(root, "id", std::string()));
-  GF_ASSIGN_OR_RETURN(const std::string state,
-                      FieldString(root, "state", std::nullopt));
-  if (state == "ERR") {
-    response.ok = false;
-    GF_ASSIGN_OR_RETURN(const std::string code,
-                        FieldString(root, "code", std::nullopt));
-    GF_ASSIGN_OR_RETURN(const common::StatusCode parsed,
-                        StatusCodeFromString(code));
-    GF_ASSIGN_OR_RETURN(const std::string message,
-                        FieldString(root, "message", std::string()));
-    response.status = common::Status(parsed, message);
-    return response;
-  }
-  if (state != "OK") {
-    return Status::InvalidArgument("field \"state\": expected OK or ERR");
-  }
-  GF_ASSIGN_OR_RETURN(response.phase,
-                      FieldString(root, "phase", std::nullopt));
-  GF_RETURN_IF_ERROR(
-      CheckOneOf("phase", response.phase, {"topk_users", "topk_items"}));
-  if (response.phase == "topk_items") {
-    const JsonValue* list = root.Find("list");
-    if (list == nullptr) {
-      return Status::InvalidArgument("missing required field \"list\"");
-    }
-    GF_ASSIGN_OR_RETURN(response.list, ParseShardList("list", *list));
-    return response;
-  }
-  const JsonValue* users = root.Find("users");
-  if (users == nullptr || users->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument(
-        "missing required array field \"users\"");
-  }
-  response.users.reserve(users->array.size());
-  for (std::size_t i = 0; i < users->array.size(); ++i) {
-    common::StatusOr<ShardList> list =
-        ParseShardList("users", users->array[i]);
-    if (!list.ok()) return AtElement("users", i, list.status());
-    response.users.push_back(*std::move(list));
-  }
-  return response;
-}
-
 common::StatusOr<AnyRequest> ParseAnyRequestLine(const std::string& line) {
   JsonParser parser(line);
   GF_ASSIGN_OR_RETURN(const JsonValue root, parser.Parse());
@@ -1647,13 +1415,27 @@ common::StatusOr<AnyRequest> ParseAnyRequestLine(const std::string& line) {
     GF_ASSIGN_OR_RETURN(any.batch, ParseBatchRequestDoc(root));
     return any;
   }
-  if (schema == kShardRequestSchema) {
-    any.is_shard = true;
-    GF_ASSIGN_OR_RETURN(any.shard, ParseShardRequestDoc(root));
-    return any;
-  }
   GF_ASSIGN_OR_RETURN(any.request, ParseRequestDoc(root));
   return any;
+}
+
+std::string RenderLineError(const std::string& line, common::Status status) {
+  Response response;
+  response.state = eval::SweepCellState::kErr;
+  response.status = std::move(status);
+  try {
+    JsonParser parser(line);
+    const StatusOr<JsonValue> root = parser.Parse();
+    if (root.ok() && root->type == JsonValue::Type::kObject) {
+      if (const JsonValue* id = root->Find("id");
+          id != nullptr && id->type == JsonValue::Type::kString) {
+        response.id = id->string;
+      }
+    }
+  } catch (const std::exception&) {
+    // Re-reading the line failed too (out of memory): answer without it.
+  }
+  return RenderResponse(response);
 }
 
 // ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ std::string RenderBatchResponseFromDocs(
 common::StatusOr<std::vector<std::string>> SplitBatchResponseDocs(
     const std::string& line);
 
-/// The scatter-side pair over the request envelope: sub-batches splice
+/// The broker-side pair over the request envelope: sub-batches splice
 /// the client's element documents verbatim instead of re-rendering every
 /// element per worker. Split rejects non-canonical envelopes with
 /// INVALID_ARGUMENT — the broker then rebuilds elements via
@@ -306,77 +306,23 @@ std::string RenderBatchRequestFromDocs(
 common::StatusOr<std::vector<std::string>> SplitBatchRequestDocs(
     const std::string& line);
 
-// ---------------------------------------------------------------------------
-// Shard verbs (DESIGN.md §16.3) — the scatter-mode worker RPCs.
-
-inline constexpr char kShardRequestSchema[] = "groupform.shard/1";
-inline constexpr char kShardResponseSchema[] = "groupform.shardresponse/1";
-
-/// A scored item sequence on the wire: parallel item/score arrays. Used
-/// both for a user's top-k preference list (scores = predicted ratings)
-/// and for a partial group top-k (scores = group scores).
-struct ShardList {
-  std::vector<ItemId> items;
-  std::vector<double> scores;
-};
-
-/// One `groupform.shard/1`: a worker-side slice of the broker's
-/// scatter/gather greedy solve (fleet/broker.h). Not a solve request —
-/// it answers raw top-k data that the broker folds exactly as the
-/// single-process algorithm would. Two phases:
-///
-///   "topk_users" — the per-user top-k preference lists of users
-///     [user_begin, user_end): GRD step 1's only instance-wide scan.
-///   "topk_items" — the partial group top-k of `members` restricted to
-///     items [item_begin, item_end): the PR 3 sharded-residual unit,
-///     merged on the broker under core::MergeShardTopK.
-///
-/// Ratings and scores round-trip bit-exactly (the writer emits shortest
-/// round-trip doubles), which is what lets the gathered solve stay
-/// byte-identical to the local one.
-struct ShardRequest {
-  std::string id;
-  std::string phase;  // "topk_users" | "topk_items"
-  InstanceSpec instance;
-  ProblemSpec problem;
-  /// topk_users: the half-open user range.
-  std::int32_t user_begin = 0;
-  std::int32_t user_end = 0;
-  /// topk_items: the group members (ascending) and item range.
-  std::vector<UserId> members;
-  std::int32_t item_begin = 0;
-  std::int32_t item_end = 0;
-};
-
-common::StatusOr<ShardRequest> ParseShardRequestLine(const std::string& line);
-std::string RenderShardRequest(const ShardRequest& request);
-
-/// The matching `groupform.shardresponse/1`: OK with the phase's payload
-/// (`users` — one list per user in range order — or `list`), or ERR with
-/// the usual code/message pair.
-struct ShardResponse {
-  std::string id;
-  std::string phase;
-  bool ok = true;
-  common::Status status;
-  std::vector<ShardList> users;  // topk_users payload
-  ShardList list;                // topk_items payload
-};
-
-common::StatusOr<ShardResponse> ParseShardResponseLine(
-    const std::string& line);
-std::string RenderShardResponse(const ShardResponse& response);
-
-/// One request, batch, *or* shard line, parsed by schema — the serving
-/// layer's single dispatch point, so both wires accept all shapes.
+/// One request *or* batch line, parsed by schema — the serving layer's
+/// single dispatch point, so both wires accept both shapes.
 struct AnyRequest {
   bool is_batch = false;
+  /// Always false; kept only because perfbench/layers.cc reads it.
   bool is_shard = false;
-  Request request;   // valid when !is_batch && !is_shard
+  Request request;     // valid when !is_batch
   BatchRequest batch;  // valid when is_batch
-  ShardRequest shard;  // valid when is_shard
 };
 common::StatusOr<AnyRequest> ParseAnyRequestLine(const std::string& line);
+
+/// The ERR line for a request line that failed to parse or execute. It
+/// echoes the line's "id" whenever the line is a JSON object with a
+/// string "id", so the client can tell which request failed; any other
+/// line answers an empty id. Session and the fleet broker both answer
+/// through this, so a broker's local ERR is byte-identical to a worker's.
+std::string RenderLineError(const std::string& line, common::Status status);
 
 // ---------------------------------------------------------------------------
 // GFB1 binary frame codec (DESIGN.md §15.1)

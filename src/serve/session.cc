@@ -19,7 +19,6 @@
 #include "eval/metrics.h"
 #include "eval/weighted_objective.h"
 #include "grouprec/semantics.h"
-#include "recsys/preference_lists.h"
 
 namespace groupform::serve {
 namespace {
@@ -213,25 +212,10 @@ Response Session::Execute(
   return ExecuteLoaded(request, received_at, loaded);
 }
 
-Response Session::ExecuteWithSolver(
-    const Request& request,
-    std::chrono::steady_clock::time_point received_at,
-    const SolveHook& solve) {
-  auto loaded_or = cache_.Get(request.instance);
-  if (!loaded_or.ok()) {
-    Response response;
-    response.id = request.id;
-    return FailWith(std::move(response), eval::SweepCellState::kErr,
-                    loaded_or.status());
-  }
-  const LoadedInstance loaded = *std::move(loaded_or);
-  return ExecuteLoaded(request, received_at, loaded, &solve);
-}
-
 Response Session::ExecuteLoaded(
     const Request& request,
     std::chrono::steady_clock::time_point received_at,
-    const LoadedInstance& loaded, const SolveHook* solve) {
+    const LoadedInstance& loaded) {
   Response response;
   response.id = request.id;
 
@@ -301,11 +285,7 @@ Response Session::ExecuteLoaded(
   }
 
   common::Stopwatch stopwatch;
-  // A SolveHook replaces only the solve itself — registry resolution (and
-  // its strict option validation) above keeps running, so a hooked
-  // request fails on exactly the inputs a plain one would.
-  auto result_or = solve != nullptr && *solve ? (*solve)(problem)
-                                              : (*solver_or)->Solve(request.seed);
+  auto result_or = (*solver_or)->Solve(request.seed);
   const double seconds = stopwatch.ElapsedSeconds();
   if (!result_or.ok()) {
     // The solver's own budget (RESOURCE_EXHAUSTED) is the expected
@@ -594,98 +574,23 @@ BatchResponse Session::ExecuteBatch(
   return out;
 }
 
-ShardResponse Session::ExecuteShard(const ShardRequest& request) {
-  ShardResponse response;
-  response.id = request.id;
-  response.phase = request.phase;
-  const auto fail = [&response](Status status) {
-    response.ok = false;
-    response.status = std::move(status);
-    return std::move(response);
-  };
-
-  auto loaded_or = cache_.Get(request.instance);
-  if (!loaded_or.ok()) return fail(loaded_or.status());
-  const LoadedInstance loaded = *std::move(loaded_or);
-  auto problem_or = BuildProblem(request.problem, loaded);
-  if (!problem_or.ok()) return fail(problem_or.status());
-  const core::FormationProblem& problem = *problem_or;
-  const data::RatingStore store = problem.Store();
-
-  if (request.phase == "topk_users") {
-    const std::int32_t n = store.num_users();
-    if (request.user_begin < 0 || request.user_end > n) {
-      return fail(Status::InvalidArgument(common::StrFormat(
-          "user range [%d, %d) outside the population [0, %d)",
-          request.user_begin, request.user_end, n)));
-    }
-    response.users.reserve(
-        static_cast<std::size_t>(request.user_end - request.user_begin));
-    for (UserId u = request.user_begin; u < request.user_end; ++u) {
-      const auto topk = recsys::TopKList(store, u, problem.k);
-      ShardList list;
-      list.items.reserve(topk.size());
-      list.scores.reserve(topk.size());
-      for (const data::RatingEntry& entry : topk) {
-        list.items.push_back(entry.item);
-        list.scores.push_back(entry.rating);
-      }
-      response.users.push_back(std::move(list));
-    }
-    return response;
-  }
-
-  // "topk_items" — the parser's CheckOneOf admits no third phase.
-  const std::int32_t m = store.num_items();
-  if (request.item_begin < 0 || request.item_end > m) {
-    return fail(Status::InvalidArgument(common::StrFormat(
-        "item range [%d, %d) outside the catalogue [0, %d)",
-        request.item_begin, request.item_end, m)));
-  }
-  for (const UserId member : request.members) {
-    if (member < 0 || member >= store.num_users()) {
-      return fail(Status::InvalidArgument(
-          common::StrFormat("member %d outside the population [0, %d)",
-                            member, store.num_users())));
-    }
-  }
-  const grouprec::GroupScorer scorer = problem.MakeScorer();
-  const grouprec::GroupTopK list = scorer.TopKItemRange(
-      request.members, problem.k, request.item_begin, request.item_end);
-  response.list.items.reserve(list.items.size());
-  response.list.scores.reserve(list.items.size());
-  for (const grouprec::ScoredItem& scored : list.items) {
-    response.list.items.push_back(scored.item);
-    response.list.scores.push_back(scored.score);
-  }
-  return response;
-}
-
 std::string Session::HandleLine(
     const std::string& line,
     std::chrono::steady_clock::time_point received_at) {
-  Response response;
   try {
     auto any_or = ParseAnyRequestLine(line);
-    if (!any_or.ok()) {
-      response.state = eval::SweepCellState::kErr;
-      response.status = any_or.status();
-    } else if (any_or->is_batch) {
+    if (!any_or.ok()) return RenderLineError(line, any_or.status());
+    if (any_or->is_batch) {
       return RenderBatchResponse(ExecuteBatch(any_or->batch, received_at));
-    } else if (any_or->is_shard) {
-      return RenderShardResponse(ExecuteShard(any_or->shard));
-    } else if (any_or->request.is_delta) {
-      response = ExecuteDelta(any_or->request, received_at);
-    } else {
-      response = Execute(any_or->request, received_at);
     }
+    return RenderResponse(any_or->request.is_delta
+                              ? ExecuteDelta(any_or->request, received_at)
+                              : Execute(any_or->request, received_at));
   } catch (const std::exception& error) {
     // Belt and braces: the library is Status-based, but a response line
     // must go out for every request line even if something throws.
-    response.state = eval::SweepCellState::kErr;
-    response.status = Status::Internal(error.what());
+    return RenderLineError(line, Status::Internal(error.what()));
   }
-  return RenderResponse(response);
 }
 
 }  // namespace groupform::serve

@@ -9,11 +9,9 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/status.h"
-#include "core/formation.h"
 #include "serve/instance_cache.h"
 #include "serve/line_handler.h"
 #include "serve/protocol.h"
@@ -28,14 +26,6 @@ struct SessionConfig {
   /// (0 = unlimited).
   std::int64_t default_user_cap = 0;
 };
-
-/// Replaces the registry solve inside ExecuteWithSolver: receives the
-/// fully validated problem (instance loaded, caps and pre-solve deadline
-/// already enforced) and returns the formation result. The broker's
-/// scatter/gather greedy plugs in here, inheriting every cap/deadline/
-/// metrics/render behaviour of the local path by construction.
-using SolveHook = std::function<common::StatusOr<core::FormationResult>(
-    const core::FormationProblem&)>;
 
 /// One serving context: an instance cache plus the execution policy.
 /// Thread-safe — the server runs many Execute calls concurrently as
@@ -85,30 +75,13 @@ class Session : public LineHandler {
   /// Parse + Execute + render: one request line in, one response line out
   /// (no trailing newline). Dispatches on schema — `groupform.batch/1`
   /// lines answer a `groupform.batchresponse/1` line; envelope-level
-  /// parse failures render as a single ERR response with an empty id.
-  /// This is the function the server submits to the pool.
+  /// parse failures render as a single ERR response (RenderLineError,
+  /// which echoes the line's id). This is the function the server
+  /// submits to the pool.
   std::string HandleLine(
       const std::string& line,
       std::chrono::steady_clock::time_point received_at =
           std::chrono::steady_clock::now()) override;
-
-  /// Execute with the registry solve replaced by `solve` (still resolved
-  /// through the registry first, so option validation and NOT_FOUND
-  /// behaviour match the local path exactly). The response envelope —
-  /// caps, deadlines, metrics, rendering — is byte-identical to Execute's
-  /// whenever `solve` returns the same FormationResult the registry
-  /// solver would.
-  Response ExecuteWithSolver(
-      const Request& request,
-      std::chrono::steady_clock::time_point received_at,
-      const SolveHook& solve);
-
-  /// Executes a parsed `groupform.shard/1` request (DESIGN.md §16.3):
-  /// the worker-side half of the broker's scatter mode. Loads the
-  /// instance through the cache like any request, then answers one phase
-  /// — per-user top-k lists over a user range, or a partial group top-k
-  /// over an item range — without running a solver.
-  ShardResponse ExecuteShard(const ShardRequest& request);
 
   InstanceCache& cache() { return cache_; }
   const SessionConfig& config() const { return config_; }
@@ -116,12 +89,10 @@ class Session : public LineHandler {
  private:
   /// The fresh-request path after instance resolution; `loaded` pins the
   /// cache entry for the duration (batch execution resolves once per
-  /// distinct spec and reuses the pin across elements). A non-null
-  /// `solve` replaces the registry solver's Solve call.
+  /// distinct spec and reuses the pin across elements).
   Response ExecuteLoaded(const Request& request,
                          std::chrono::steady_clock::time_point received_at,
-                         const LoadedInstance& loaded,
-                         const SolveHook* solve = nullptr);
+                         const LoadedInstance& loaded);
 
   const SessionConfig config_;
   InstanceCache cache_;

@@ -1,9 +1,9 @@
 // Broker transparency (DESIGN.md §16): a BrokerSession fronting real
 // groupform_serverd-equivalent workers answers byte-identical response
-// documents to a single local Session — every fleet size, both
-// broker→worker wires, both routing modes, for every response shape the
-// protocol produces (fresh solves, cache hits, groups, deltas, a DNF,
-// an ERR) plus the batch envelope. The workers here are in-process
+// documents to a single local Session — every fleet size and both
+// broker→worker wires, for every response shape the protocol produces
+// (fresh solves, cache hits, groups, deltas, a DNF, an ERR) plus the
+// batch envelope and malformed lines. The workers here are in-process
 // TcpServers around ordinary Sessions, i.e. exactly what a serverd
 // process wraps, minus fork/exec (supervisor_test covers that).
 #include <gtest/gtest.h>
@@ -50,7 +50,7 @@ std::vector<serve::Request> MixedRequests() {
   groups.include_groups = true;
   requests.push_back(groups);
   serve::Request local = BaseRequest("local", 4);
-  local.solver = "localsearch";  // scatter-ineligible → affinity path
+  local.solver = "localsearch";
   requests.push_back(local);
   requests.push_back(BaseRequest("other", 9));
   requests.push_back(BaseRequest("third", 23));
@@ -170,34 +170,25 @@ TEST_F(BrokerEquivalenceTest, FleetMatchesSingleProcessByteForByte) {
   for (const int num_workers : {1, 2, 4}) {
     for (const auto wire : {serve::WireClient::Wire::kJson,
                             serve::WireClient::Wire::kBinary}) {
-      for (const auto mode : {BrokerConfig::Mode::kAffinity,
-                              BrokerConfig::Mode::kScatter}) {
-        SCOPED_TRACE(testing::Message()
-                     << "workers=" << num_workers << " wire="
-                     << (wire == serve::WireClient::Wire::kJson ? "json"
-                                                                : "binary")
-                     << " mode="
-                     << (mode == BrokerConfig::Mode::kAffinity
-                             ? "affinity"
-                             : "scatter"));
-        auto workers = StartWorkers(num_workers);
-        TcpTransport transport(EndpointsOf(workers), wire);
-        BrokerConfig config;
-        config.mode = mode;
-        config.retries = 1;
-        config.backoff_ms = 1;
-        config.residual_shard_items = 2;  // force multi-shard residuals
-        BrokerSession broker(config, transport);
+      SCOPED_TRACE(testing::Message()
+                   << "workers=" << num_workers << " wire="
+                   << (wire == serve::WireClient::Wire::kJson ? "json"
+                                                              : "binary"));
+      auto workers = StartWorkers(num_workers);
+      TcpTransport transport(EndpointsOf(workers), wire);
+      BrokerConfig config;
+      config.retries = 1;
+      config.backoff_ms = 1;
+      BrokerSession broker(config, transport);
 
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          EXPECT_EQ(broker.HandleLine(lines[i], now), golden[i])
-              << "request " << i;
-        }
-        // Workers only drain once the broker's pooled connections close:
-        // drop them before the servers shut down (scope exit then
-        // destroys broker → transport → workers, in that order).
-        for (int w = 0; w < num_workers; ++w) transport.Reset(w);
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(broker.HandleLine(lines[i], now), golden[i])
+            << "request " << i;
       }
+      // Workers only drain once the broker's pooled connections close:
+      // drop them before the servers shut down (scope exit then
+      // destroys broker → transport → workers, in that order).
+      for (int w = 0; w < num_workers; ++w) transport.Reset(w);
     }
   }
 }
@@ -215,20 +206,14 @@ TEST_F(BrokerEquivalenceTest, BatchEnvelopeMatchesSingleProcess) {
     golden = session.HandleLine(batch_line, now);
   }
 
-  for (const auto mode :
-       {BrokerConfig::Mode::kAffinity, BrokerConfig::Mode::kScatter}) {
-    SCOPED_TRACE(mode == BrokerConfig::Mode::kAffinity ? "affinity"
-                                                       : "scatter");
-    auto workers = StartWorkers(2);
-    TcpTransport transport(EndpointsOf(workers),
-                           serve::WireClient::Wire::kBinary);
-    BrokerConfig config;
-    config.mode = mode;
-    config.backoff_ms = 1;
-    BrokerSession broker(config, transport);
-    EXPECT_EQ(broker.HandleLine(batch_line, now), golden);
-    for (int w = 0; w < 2; ++w) transport.Reset(w);
-  }
+  auto workers = StartWorkers(2);
+  TcpTransport transport(EndpointsOf(workers),
+                         serve::WireClient::Wire::kBinary);
+  BrokerConfig config;
+  config.backoff_ms = 1;
+  BrokerSession broker(config, transport);
+  EXPECT_EQ(broker.HandleLine(batch_line, now), golden);
+  for (int w = 0; w < 2; ++w) transport.Reset(w);
 }
 
 TEST_F(BrokerEquivalenceTest, MalformedLineAnswersSameErrAsWorker) {
@@ -239,10 +224,27 @@ TEST_F(BrokerEquivalenceTest, MalformedLineAnswersSameErrAsWorker) {
                          serve::WireClient::Wire::kBinary);
   BrokerConfig config;
   BrokerSession broker(config, transport);
-  for (const std::string line :
-       {std::string("{not json"), std::string("{\"schema\":\"nope/9\"}")}) {
-    EXPECT_EQ(broker.HandleLine(line, now), session.HandleLine(line, now))
+  // Every ERR echoes the line's id when it has one; the former
+  // scatter-mode shard verb is now an ordinary unknown schema.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{not json", ""},
+      {"{\"schema\":\"nope/9\"}", ""},
+      {"{\"schema\":\"nope/9\",\"id\":\"q2\"}", "q2"},
+      {"{\"schema\":\"groupform.request/1\",\"id\":\"q3\"}", "q3"},
+      {"{\"schema\":\"groupform.shard/1\",\"id\":\"q4\","
+       "\"phase\":\"topk_users\",\"instance\":{\"kind\":\"dense\","
+       "\"users\":8,\"items\":5},\"user_begin\":0,\"user_end\":4}",
+       "q4"},
+  };
+  for (const auto& [line, id] : cases) {
+    const std::string answer = broker.HandleLine(line, now);
+    EXPECT_EQ(answer, session.HandleLine(line, now)) << line;
+    const auto response = serve::ParseResponseLine(answer);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->state, eval::SweepCellState::kErr) << line;
+    EXPECT_EQ(response->status.code(), common::StatusCode::kInvalidArgument)
         << line;
+    EXPECT_EQ(response->id, id) << line;
   }
 }
 

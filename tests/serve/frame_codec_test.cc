@@ -260,7 +260,7 @@ TEST(BatchEnvelope, SplitReturnsElementDocsVerbatim) {
 }
 
 TEST(BatchEnvelope, RequestSpliceRoundTripsThroughTheParser) {
-  // The scatter side: a canonical batch line splits into verbatim
+  // The broker side: a canonical batch line splits into verbatim
   // element docs, and sub-envelopes spliced from any subset of them
   // parse back to the matching Request subset.
   BatchRequest batch;
@@ -284,7 +284,7 @@ TEST(BatchEnvelope, RequestSpliceRoundTripsThroughTheParser) {
 }
 
 TEST(BatchEnvelope, SplitRejectsNonCanonicalEnvelopes) {
-  for (const std::string bad : {
+  for (const std::string& bad : {
            std::string("{\"schema\":\"groupform.response/1\"}"),
            std::string("{\"schema\":\"groupform.batchresponse/1\","
                        "\"responses\":[],\"id\":\"x\"}"),  // wrong order

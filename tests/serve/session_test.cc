@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -182,6 +183,27 @@ TEST_F(SessionTest, HandleLineAlwaysAnswersOneResponseLine) {
   EXPECT_EQ(bad->state, eval::SweepCellState::kErr);
   EXPECT_EQ(bad->status.code(), common::StatusCode::kInvalidArgument);
   EXPECT_EQ(bad->id, "");
+}
+
+TEST_F(SessionTest, ErrorLinesEchoTheRequestId) {
+  Session session;
+  // Unknown schema, a missing required field, and a line of the removed
+  // shard verb: each answers ERR(INVALID_ARGUMENT) under the id the client
+  // sent. A non-string id is not echoed.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{\"schema\":\"nope/9\",\"id\":\"q2\"}", "q2"},
+      {"{\"schema\":\"groupform.request/1\",\"id\":\"q3\"}", "q3"},
+      {"{\"schema\":\"groupform.shard/1\",\"id\":\"q4\"}", "q4"},
+      {"{\"schema\":\"nope/9\",\"id\":7}", ""},
+  };
+  for (const auto& [line, id] : cases) {
+    const auto response = ParseResponseLine(session.HandleLine(line));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->state, eval::SweepCellState::kErr) << line;
+    EXPECT_EQ(response->status.code(), common::StatusCode::kInvalidArgument)
+        << line;
+    EXPECT_EQ(response->id, id) << line;
+  }
 }
 
 TEST_F(SessionTest, ProblemKnobsReachTheSolver) {

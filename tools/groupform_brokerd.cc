@@ -1,18 +1,12 @@
-// groupform_brokerd — multi-process sharded serving front-end (DESIGN.md
-// §16, docs/PROTOCOL.md "Broker transparency").
+// groupform_brokerd — multi-process serving front-end (DESIGN.md §16,
+// docs/PROTOCOL.md "Broker transparency").
 //
 // Spawns and supervises a fleet of groupform_serverd worker processes on
 // ephemeral loopback ports, then serves the ordinary wire protocol —
 // newline-JSON and GFB1 binary, single documents and batch envelopes —
-// routing every request to the fleet:
-//
-//   --mode affinity   consistent-hash each request's instance cache key
-//                     to one worker and forward verbatim (the default;
-//                     splits the instance-cache working set N ways)
-//   --mode scatter    additionally split eligible solves (greedy,
-//                     non-delta, candidate_depth 0) across *all* workers
-//                     by user range and item range, gathering partials
-//                     into the exact single-process result
+// routing every request by instance affinity: its instance cache key
+// consistent-hashes to one worker, which answers it verbatim. The fleet
+// splits the instance-cache working set N ways.
 //
 // Responses are byte-identical to a single groupform_serverd at every
 // fleet size, worker thread count, and wire — the fleet equivalence
@@ -21,15 +15,16 @@
 // hangs.
 //
 //   groupform_brokerd --workers 3               # TCP on 127.0.0.1:4018
-//   groupform_brokerd --workers 2 --mode scatter --port 0
+//   groupform_brokerd --workers 2 --port 0
 //   groupform_brokerd --workers 2 --pipe < reqs.jsonl
 //
 // Flags:
 //   --workers N         worker processes to spawn           (default 2)
-//   --mode M            affinity | scatter                  (affinity)
+//   --mode M            affinity, the only routing mode     (affinity)
 //   --serverd PATH      worker binary (default: sibling groupform_serverd)
 //   --worker-threads N  per-worker thread pool size (0 = worker default)
-//   --worker-cache-mb N per-worker instance cache budget (-1 = default)
+//   --worker-cache-mb N per-worker instance cache budget, -1 = the
+//                       worker default, else as serverd --cache-mb (-1)
 //   --worker-wire M     json | binary: wire of the broker→worker hop
 //                       (binary)
 //   --retries N         per-request re-attempts after a failed worker
@@ -41,8 +36,6 @@
 //   --max-inflight N    pipelining window        (GF_SERVE_MAX_INFLIGHT)
 //   --credits N         binary-wire credit window (GF_SERVE_CREDITS)
 //   --wire MODE         auto | json | binary client wires (GF_SERVE_WIRE)
-//   --cache-mb N        broker-local cache budget (scatter mode loads
-//                       instances locally for metrics)  (GF_SERVE_CACHE_MB)
 //   --threads N         broker pool size (GF_THREADS)
 //
 // SIGINT/SIGTERM stop the listener, drain in-flight requests, and tear
@@ -80,7 +73,7 @@ int RealMain(int argc, char** argv) {
         "groupform_brokerd — broker fronting a groupform_serverd fleet\n"
         "(same wire protocol as a single server, docs/PROTOCOL.md)\n\n"
         "  --workers N         worker processes (default 2)\n"
-        "  --mode M            affinity | scatter (default affinity)\n"
+        "  --mode M            affinity (the only routing mode)\n"
         "  --serverd PATH      worker binary (default: sibling)\n"
         "  --worker-threads N  per-worker pool size (0 = worker default)\n"
         "  --worker-cache-mb N per-worker cache budget (-1 = default)\n"
@@ -93,7 +86,6 @@ int RealMain(int argc, char** argv) {
         "  --max-inflight N    pipelining window (GF_SERVE_MAX_INFLIGHT)\n"
         "  --credits N         credit window (GF_SERVE_CREDITS)\n"
         "  --wire MODE         auto|json|binary client wires\n"
-        "  --cache-mb N        broker-local cache budget\n"
         "  --threads N         broker pool size (GF_THREADS)\n");
     return 0;
   }
@@ -121,20 +113,29 @@ int RealMain(int argc, char** argv) {
     return 2;
   }
   fleet_options.threads = static_cast<int>(worker_threads);
-  fleet_options.cache_mb = flags.GetInt("worker-cache-mb", -1);
-
-  fleet::BrokerConfig broker_config;
-  const std::string mode = flags.GetString("mode", "affinity");
-  if (mode == "affinity") {
-    broker_config.mode = fleet::BrokerConfig::Mode::kAffinity;
-  } else if (mode == "scatter") {
-    broker_config.mode = fleet::BrokerConfig::Mode::kScatter;
-  } else {
+  // serverd's own --cache-mb range, checked here so a bad value names
+  // this flag instead of surfacing as a worker that died at startup.
+  const long long worker_cache_mb = flags.GetInt("worker-cache-mb", -1);
+  if (worker_cache_mb < -1 || worker_cache_mb > (1ll << 40)) {
     std::fprintf(stderr,
-                 "--mode must be affinity or scatter, got \"%s\"\n",
+                 "--worker-cache-mb must be -1 (worker default) or in "
+                 "[0, 2^40], got %lld\n",
+                 worker_cache_mb);
+    return 2;
+  }
+  fleet_options.cache_mb = worker_cache_mb;
+
+  // FlagParser ignores unknown flags, so a retired mode must fail loudly
+  // rather than silently run as affinity.
+  const std::string mode = flags.GetString("mode", "affinity");
+  if (mode != "affinity") {
+    std::fprintf(stderr,
+                 "--mode must be affinity, got \"%s\" (scatter mode was "
+                 "removed; affinity is the only routing mode)\n",
                  mode.c_str());
     return 2;
   }
+  fleet::BrokerConfig broker_config;
   const long long retries = flags.GetInt("retries", 1);
   if (retries < 0 || retries > 16) {
     std::fprintf(stderr, "--retries must be in [0, 16], got %lld\n",
@@ -203,16 +204,6 @@ int RealMain(int argc, char** argv) {
       return 2;
     }
   }
-  broker_config.session = serve::SessionConfigFromEnv();
-  if (flags.Has("cache-mb")) {
-    const long long mb = flags.GetInt("cache-mb", 256);
-    if (mb < 0 || mb > (1ll << 40)) {
-      std::fprintf(stderr, "--cache-mb must be in [0, 2^40], got %lld\n",
-                   mb);
-      return 2;
-    }
-    broker_config.session.cache_bytes = mb <= 0 ? 0 : mb * 1024 * 1024;
-  }
 
   auto fleet_or = fleet::WorkerFleet::Spawn(fleet_options);
   if (!fleet_or.ok()) {
@@ -266,9 +257,9 @@ int RealMain(int argc, char** argv) {
     std::fclose(f);
   }
   std::fprintf(stderr,
-               "groupform_brokerd: listening on 127.0.0.1:%d (mode=%s, "
-               "workers=%d, max_inflight=%d)\n",
-               server.port(), mode.c_str(), fleet_options.num_workers,
+               "groupform_brokerd: listening on 127.0.0.1:%d (workers=%d, "
+               "max_inflight=%d)\n",
+               server.port(), fleet_options.num_workers,
                server_config.max_inflight);
   const auto status = server.Serve();
   g_server = nullptr;
