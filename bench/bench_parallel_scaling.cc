@@ -3,9 +3,8 @@
 // instance, and checks the §8/DESIGN.md §10.3 determinism contract along
 // the way (parallel results must be byte-identical to serial).
 //
-//   (a) batch group scoring (core::ScoreGroups, within-group sharding
-//       enabled): the rescoring step of the clustering baselines and
-//       local search;
+//   (a) batch group scoring (core::ScoreGroups, one pool task per group):
+//       the rescoring step of the clustering baselines and local search;
 //   (b) eval::RunRepeated: independent seeded repetitions of a solver;
 //   (c) OPT* localsearch passes: the plan-in-parallel/apply-serially
 //       move loop, reported as pass throughput (passes per second).
@@ -116,12 +115,6 @@ int main() {
           .Set("init_with_greedy", "false")
           .Set("max_passes", std::to_string(ls_passes));
 
-  // Shard threshold below the 500-item catalogue so workload (a) actually
-  // measures the sharded path (the 4096 default would leave every group
-  // as a single task at this size).
-  core::ScoreGroupsOptions scoring_options;
-  scoring_options.shard_min_items = 64;
-
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   double scoring_serial_seconds = 0.0;
   double repeated_serial_seconds = 0.0;
@@ -145,7 +138,7 @@ int main() {
     double checksum = 0.0;
     for (int round = 0; round < rounds; ++round) {
       checksum = Checksum(
-          core::ScoreGroups(problem, scorer, groups, scoring_options));
+          core::ScoreGroups(problem, scorer, groups));
     }
     const double scoring_seconds = scoring_watch.ElapsedSeconds();
 

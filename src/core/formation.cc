@@ -145,88 +145,19 @@ grouprec::GroupTopK ComputeGroupList(const FormationProblem& problem,
 
 std::vector<GroupScore> ScoreGroups(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
-    std::span<const std::vector<UserId>> groups,
-    const ScoreGroupsOptions& options) {
+    std::span<const std::vector<UserId>> groups) {
   std::vector<GroupScore> scores(groups.size());
-  const std::int64_t num_items = problem.Store().num_items();
-  const bool sharded = problem.candidate_depth == 0 &&
-                       options.shard_min_items > 0 &&
-                       num_items > options.shard_min_items;
-  if (!sharded) {
-    common::ThreadPool::Shared().ParallelFor(
-        static_cast<std::int64_t>(groups.size()), [&](std::int64_t g) {
-          const std::vector<UserId>& members =
-              groups[static_cast<std::size_t>(g)];
-          if (members.empty()) return;  // slot keeps {empty list, 0.0}
-          GroupScore& out = scores[static_cast<std::size_t>(g)];
-          out.list = ComputeGroupList(problem, scorer, members);
-          out.satisfaction = AggregateListSatisfaction(
-              problem, static_cast<int>(members.size()), out.list);
-        });
-    return scores;
-  }
-
-  // Within-group sharding: every non-empty group's item range becomes a
-  // run of adjacent (group, [begin, end)) tasks, flattened into one pool
-  // loop so across-group and within-group parallelism share the workers.
-  // Chunked claiming keeps a group's adjacent shards — which scan the
-  // same members' rating rows — on one worker.
-  struct Shard {
-    std::size_t group = 0;
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-  };
-  std::vector<Shard> shards;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].empty()) continue;
-    for (std::int64_t b = 0; b < num_items; b += options.shard_min_items) {
-      shards.push_back(
-          {g, b, std::min(b + options.shard_min_items, num_items)});
-    }
-  }
-  std::vector<grouprec::GroupTopK> partials(shards.size());
   common::ThreadPool::Shared().ParallelFor(
-      static_cast<std::int64_t>(shards.size()), /*grain=*/0,
-      [&](std::int64_t i) {
-        const Shard& shard = shards[static_cast<std::size_t>(i)];
-        partials[static_cast<std::size_t>(i)] = scorer.TopKItemRange(
-            groups[shard.group], problem.k,
-            static_cast<ItemId>(shard.begin),
-            static_cast<ItemId>(shard.end));
+      static_cast<std::int64_t>(groups.size()), [&](std::int64_t g) {
+        const std::vector<UserId>& members =
+            groups[static_cast<std::size_t>(g)];
+        if (members.empty()) return;  // slot keeps {empty list, 0.0}
+        GroupScore& out = scores[static_cast<std::size_t>(g)];
+        out.list = ComputeGroupList(problem, scorer, members);
+        out.satisfaction = AggregateListSatisfaction(
+            problem, static_cast<int>(members.size()), out.list);
       });
-
-  // Serial merge, shards in index order (MergeShardTopK).
-  for (std::size_t i = 0; i < shards.size();) {
-    const std::size_t g = shards[i].group;
-    const std::size_t first = i;
-    while (i < shards.size() && shards[i].group == g) ++i;
-    GroupScore& out = scores[g];
-    out.list = MergeShardTopK(
-        std::span<const grouprec::GroupTopK>(partials).subspan(first,
-                                                               i - first),
-        problem.k);
-    out.satisfaction = AggregateListSatisfaction(
-        problem, static_cast<int>(groups[g].size()), out.list);
-  }
   return scores;
-}
-
-grouprec::GroupTopK MergeShardTopK(
-    std::span<const grouprec::GroupTopK> partials, int k) {
-  grouprec::GroupTopK merged;
-  for (const grouprec::GroupTopK& partial : partials) {
-    merged.items.insert(merged.items.end(), partial.items.begin(),
-                        partial.items.end());
-  }
-  // Exact: an item in the global top-k is necessarily in its own shard's
-  // top-k, and re-sorting the union under the library tie rule (a strict
-  // total order, items being unique) reproduces the unsharded sequence.
-  std::sort(merged.items.begin(), merged.items.end(),
-            grouprec::BetterScoredItem);
-  if (merged.items.size() > static_cast<std::size_t>(k)) {
-    merged.items.resize(static_cast<std::size_t>(k));
-  }
-  return merged;
 }
 
 double MissingSlotScore(const FormationProblem& problem, int group_size) {

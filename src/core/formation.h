@@ -135,41 +135,16 @@ struct GroupScore {
   double satisfaction = 0.0;
 };
 
-/// Tuning knobs for ScoreGroups.
-struct ScoreGroupsOptions {
-  /// Within-group sharding threshold: on the full-catalogue path
-  /// (candidate_depth == 0) a group's item range is split into chunks of
-  /// at most this many items, each chunk's partial top-k computed as its
-  /// own pool task, and the partials merged serially — so one giant
-  /// residual group no longer bounds batch-scoring latency. <= 0 disables
-  /// sharding (one task per group, the pre-shard behavior). The merge is
-  /// exact: chunk boundaries never change the resulting lists or scores.
-  std::int64_t shard_min_items = 4096;
-};
-
 /// Batch top-k scoring: ComputeGroupList + AggregateListSatisfaction for
 /// every group in `groups`, in parallel on common::ThreadPool::Shared().
 /// This is the rescoring hot path shared by the clustering baselines,
-/// local search, and objective recomputation. Work units (whole groups,
-/// or item-range shards of heavy groups, see ScoreGroupsOptions) are
-/// independent and each writes its own output slot; shard partials merge
-/// serially in index order under the library tie rule, so the result is
-/// identical at every thread count and every chunk size (DESIGN.md
-/// §10.3); empty groups score 0 with an empty list.
+/// local search, and objective recomputation. Groups are independent pool
+/// tasks, each writing its own output slot, so the result is identical at
+/// every thread count (DESIGN.md §10.3); empty groups score 0 with an
+/// empty list.
 std::vector<GroupScore> ScoreGroups(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
-    std::span<const std::vector<UserId>> groups,
-    const ScoreGroupsOptions& options = ScoreGroupsOptions());
-
-/// The exact merge of per-shard partial top-k lists (PR 3, DESIGN.md
-/// §10.3): concatenate the partials in shard index order, re-sort under
-/// the library tie rule (grouprec::BetterScoredItem — score desc, item
-/// asc, a strict total order because items are unique across disjoint
-/// shards), truncate to k. Exact because an item in the global top-k is
-/// necessarily in its own shard's top-k. Used by ScoreGroups'
-/// within-group sharding.
-grouprec::GroupTopK MergeShardTopK(
-    std::span<const grouprec::GroupTopK> partials, int k);
+    std::span<const std::vector<UserId>> groups);
 
 /// The score of a conceptual list slot no rated item can fill: the value an
 /// item unrated by every group member receives under the problem's missing

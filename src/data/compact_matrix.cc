@@ -1,5 +1,6 @@
 #include "data/compact_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 

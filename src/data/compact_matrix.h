@@ -7,12 +7,10 @@
 // (uint16 when the catalogue fits, else int32) and a separate quantized
 // rating stream (int8 or int16 with a per-matrix scale/offset) — so
 // million-user instances fit in a fraction of the dense footprint and
-// grouprec::TopKItemRange shard scans become branch-light loops over
-// same-width cells. The storage can be heap-owned or a zero-copy view
+// row scans become branch-light loops over same-width cells. The storage can be heap-owned or a zero-copy view
 // into an mmap-ed GFCM file (data/binary_io.h), which is how
 // groupform_serverd serves instances far larger than its cache budget.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -196,37 +194,6 @@ class CompactRatingMatrix {
   template <typename Fn>
   void VisitRow(UserId user, Fn&& fn) const {
     VisitCells(RowBegin(user), RowEnd(user), fn);
-  }
-
-  /// VisitRow restricted to items in [begin, end): one binary search per
-  /// row finds the slice, then only in-range cells are touched —
-  /// grouprec::TopKItemRange's sharding contract, same as the dense path.
-  template <typename Fn>
-  void VisitRowRange(UserId user, ItemId begin, ItemId end, Fn&& fn) const {
-    const std::size_t lo = RowBegin(user);
-    const std::size_t hi = RowEnd(user);
-    std::size_t start;
-    if (item_bits_ == 16) {
-      const auto* base = items16_.data();
-      start = static_cast<std::size_t>(
-          std::lower_bound(base + lo, base + hi,
-                           static_cast<std::uint16_t>(std::max(begin, 0))) -
-          base);
-      for (std::size_t i = start; i < hi; ++i) {
-        const ItemId item = static_cast<ItemId>(base[i]);
-        if (item >= end) break;
-        fn(item, DequantizeCell(i));
-      }
-    } else {
-      const auto* base = items32_.data();
-      start = static_cast<std::size_t>(
-          std::lower_bound(base + lo, base + hi, begin) - base);
-      for (std::size_t i = start; i < hi; ++i) {
-        const ItemId item = base[i];
-        if (item >= end) break;
-        fn(item, DequantizeCell(i));
-      }
-    }
   }
 
   /// Logical payload bytes of the instance: row offsets + item stream +

@@ -79,25 +79,6 @@ class RatingStore {
     }
   }
 
-  /// VisitRow restricted to items in [begin, end) — one binary search per
-  /// row, then only in-range cells are touched (the TopKItemRange
-  /// sharding contract on both backends).
-  template <typename Fn>
-  void VisitRowRange(UserId user, ItemId begin, ItemId end, Fn&& fn) const {
-    if (dense_) {
-      const auto row = dense_->RatingsOf(user);
-      const auto* it = std::lower_bound(
-          row.data(), row.data() + row.size(), begin,
-          [](const RatingEntry& e, ItemId id) { return e.item < id; });
-      for (const auto* e = it; e != row.data() + row.size(); ++e) {
-        if (e->item >= end) break;
-        fn(e->item, e->rating);
-      }
-    } else {
-      compact_->VisitRowRange(user, begin, end, fn);
-    }
-  }
-
   /// The user's row as entries. Zero-copy on the dense backend; on the
   /// compact backend the row is dequantized into `scratch` (resized as
   /// needed) and the span aliases it — callers that only iterate should

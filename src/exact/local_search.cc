@@ -174,8 +174,6 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
   const int ell = problem_.max_groups;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
   common::Rng rng(options_.seed);
-  core::ScoreGroupsOptions score_options;
-  score_options.shard_min_items = options_.shard_min_items;
 
   // ---- Initial partition ----
   // Validate the warm start (if any) before touching the rng: it must be
@@ -236,7 +234,7 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
   // sum keeps the objective's floating-point order thread-count-invariant.
   state.satisfaction.resize(state.groups.size());
   const std::vector<core::GroupScore> seed_scores =
-      core::ScoreGroups(problem_, scorer, state.groups, score_options);
+      core::ScoreGroups(problem_, scorer, state.groups);
   for (std::size_t g = 0; g < state.groups.size(); ++g) {
     state.satisfaction[g] = seed_scores[g].satisfaction;
     state.objective += state.satisfaction[g];
@@ -248,7 +246,7 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
   // cold one — no init path that reaches this point has touched the rng.
   if (!warm_groups.empty() && options_.init_with_greedy) {
     const std::vector<core::GroupScore> warm_scores =
-        core::ScoreGroups(problem_, scorer, warm_groups, score_options);
+        core::ScoreGroups(problem_, scorer, warm_groups);
     double warm_objective = 0.0;
     for (const core::GroupScore& score : warm_scores) {
       warm_objective += score.satisfaction;
@@ -339,7 +337,7 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
   // Final rescoring of all groups at once (the lists were not kept during
   // the search; only satisfactions were cached).
   std::vector<core::GroupScore> final_scores =
-      core::ScoreGroups(problem_, scorer, state.groups, score_options);
+      core::ScoreGroups(problem_, scorer, state.groups);
   FormationResult result;
   result.algorithm = "OPT*-LS";
   result.refine_passes = refine_passes;

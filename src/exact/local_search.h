@@ -63,9 +63,6 @@ class LocalSearchSolver : public core::FormationSolver {
     /// The plan/apply split makes results byte-identical either way
     /// (DESIGN.md §10.3); false forces the planning loop serial.
     bool parallel_moves = true;
-    /// Forwarded to core::ScoreGroupsOptions for the solver's batch
-    /// rescoring calls (<= 0 disables within-group sharding).
-    std::int64_t shard_min_items = core::ScoreGroupsOptions().shard_min_items;
     /// Anytime budget (DESIGN.md §17.4): >= 0 arms a wall-clock deadline
     /// in milliseconds, checked at each pass boundary. On expiry the run
     /// returns its best-so-far partition with FormationResult::partial =

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <span>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -17,8 +18,8 @@ struct Accum {
 };
 
 /// Resolves one item's accumulated ratings into its group score under the
-/// semantics/missing policy. Shared by TopK and TopKItemRange so the two
-/// candidate enumerations can never drift apart.
+/// semantics/missing policy. Shared by every entry point so they can never
+/// drift apart; an item no member rated resolves Accum{}.
 double ScoreFromAccum(const Accum& acc, int group_size,
                       const GroupScorer::Options& options, double r_min) {
   // A zero-size group (precondition violation upstream) must not count as
@@ -48,6 +49,77 @@ double ScoreFromAccum(const Accum& acc, int group_size,
   return r_min;
 }
 
+/// Per-thread dense accumulator scratch, indexed by item id and grown to
+/// the largest catalogue this thread has scored. Between calls every slot
+/// holds Accum{}: a call records the slots it touches and resets only
+/// those, so no call pays O(catalogue).
+struct Scratch {
+  std::vector<Accum> accums;
+  std::vector<ItemId> touched;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+/// Accumulates the group's ratings into this thread's scratch for the
+/// lifetime of the scope. Members are visited in group order, so each
+/// item's min/sum is accumulated in the same order by every entry point
+/// and the scores are bit-identical across them.
+class ScratchScope {
+ public:
+  ScratchScope(const data::RatingStore& store, std::span<const UserId> group)
+      : scratch_(ThreadScratch()) {
+    const auto num_items = static_cast<std::size_t>(store.num_items());
+    if (scratch_.accums.size() < num_items) {
+      scratch_.accums.resize(num_items);
+      // Full capacity up front: the push_back below never reallocates, so
+      // accumulation cannot throw and leave slots dirty.
+      scratch_.touched.reserve(num_items);
+    }
+    std::vector<Accum>& accums = scratch_.accums;
+    std::vector<ItemId>& touched = scratch_.touched;
+    for (UserId u : group) {
+      store.VisitRow(u, [&accums, &touched](ItemId item, Rating rating) {
+        Accum& acc = accums[static_cast<std::size_t>(item)];
+        if (acc.raters++ == 0) touched.push_back(item);
+        acc.min = std::min(acc.min, rating);
+        acc.sum += rating;
+      });
+    }
+  }
+  ~ScratchScope() {
+    for (ItemId item : scratch_.touched) {
+      scratch_.accums[static_cast<std::size_t>(item)] = Accum{};
+    }
+    scratch_.touched.clear();
+  }
+  ScratchScope(const ScratchScope&) = delete;
+  ScratchScope& operator=(const ScratchScope&) = delete;
+
+  /// Scratch slots; ids below size() are valid for at().
+  std::size_t size() const { return scratch_.accums.size(); }
+  const Accum& at(ItemId item) const {
+    return scratch_.accums[static_cast<std::size_t>(item)];
+  }
+  /// Items rated by at least one member, in first-visit order.
+  std::span<const ItemId> touched() const { return scratch_.touched; }
+
+ private:
+  Scratch& scratch_;
+};
+
+/// Truncates `scored` to its best min(k, size) items under the library
+/// tie rule, in order.
+void KeepTopK(std::vector<ScoredItem>& scored, int k) {
+  const std::size_t keep =
+      std::min<std::size_t>(static_cast<std::size_t>(k), scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                    BetterScoredItem);
+  scored.resize(keep);
+}
+
 }  // namespace
 
 GroupScorer::GroupScorer(data::RatingStore store, Options options)
@@ -57,7 +129,7 @@ double GroupScorer::ItemScore(std::span<const UserId> group,
                               ItemId item) const {
   GF_DCHECK(!group.empty());
   // Accumulate observed ratings only and let ScoreFromAccum resolve the
-  // missing policy — the same arithmetic as TopK/TopKItemRange, so all
+  // missing policy — the same arithmetic as TopK/TopKAllItems, so all
   // three entry points agree bit for bit.
   Accum acc;
   for (UserId u : group) {
@@ -77,90 +149,53 @@ GroupTopK GroupScorer::TopK(std::span<const UserId> group, int k,
   GroupTopK result;
   if (group.empty() || candidates.empty()) return result;
 
-  // One pass over the members' rating rows, accumulating only candidate
-  // items. Candidate membership is looked up in a hash map that doubles as
-  // the accumulator store.
-  std::unordered_map<ItemId, Accum> accums;
-  accums.reserve(candidates.size() * 2);
-  for (ItemId item : candidates) accums.try_emplace(item);
+  const ScratchScope scope(store_, group);
   const int group_size = static_cast<int>(group.size());
-  for (UserId u : group) {
-    store_.VisitRow(u, [&accums](ItemId item, Rating rating) {
-      const auto it = accums.find(item);
-      if (it == accums.end()) return;
-      Accum& acc = it->second;
-      ++acc.raters;
-      acc.min = std::min(acc.min, rating);
-      acc.sum += rating;
-    });
-  }
-
   const double r_min = store_.scale().min;
-  std::vector<ScoredItem> scored;
+  const Accum untouched;
+  std::vector<ScoredItem>& scored = result.items;
   scored.reserve(candidates.size());
   for (ItemId item : candidates) {
-    scored.push_back(
-        {item, ScoreFromAccum(accums.at(item), group_size, options_, r_min)});
+    // Ids outside the catalogue are unrated by every member.
+    const Accum& acc = static_cast<std::size_t>(item) < scope.size()
+                           ? scope.at(item)
+                           : untouched;
+    scored.push_back({item, ScoreFromAccum(acc, group_size, options_, r_min)});
   }
-
-  const std::size_t keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                    BetterScoredItem);
-  scored.resize(keep);
-  result.items = std::move(scored);
-  return result;
-}
-
-GroupTopK GroupScorer::TopKItemRange(std::span<const UserId> group, int k,
-                                     ItemId begin, ItemId end) const {
-  GF_CHECK_GT(k, 0);
-  GroupTopK result;
-  if (group.empty() || begin >= end) return result;
-
-  // Dense accumulators for the range, filled from each member's rating-row
-  // slice: rows are sorted by item, so one lower_bound per member finds
-  // the slice and the scan touches only in-range entries (on the compact
-  // backend this is a branch-light scan over contiguous same-width cells).
-  // Per item, the contributing users arrive in the same order as TopK's
-  // full-row scan, so the accumulated min/sum are bit-identical.
-  std::vector<Accum> accums(static_cast<std::size_t>(end - begin));
-  const int group_size = static_cast<int>(group.size());
-  for (UserId u : group) {
-    store_.VisitRowRange(u, begin, end,
-                         [&accums, begin](ItemId item, Rating rating) {
-                           Accum& acc = accums[static_cast<std::size_t>(
-                               item - begin)];
-                           ++acc.raters;
-                           acc.min = std::min(acc.min, rating);
-                           acc.sum += rating;
-                         });
-  }
-
-  const double r_min = store_.scale().min;
-  std::vector<ScoredItem> scored;
-  scored.reserve(accums.size());
-  for (std::size_t i = 0; i < accums.size(); ++i) {
-    scored.push_back({static_cast<ItemId>(begin + static_cast<ItemId>(i)),
-                      ScoreFromAccum(accums[i], group_size, options_, r_min)});
-  }
-  const std::size_t keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                    BetterScoredItem);
-  scored.resize(keep);
-  result.items = std::move(scored);
+  KeepTopK(scored, k);
   return result;
 }
 
 GroupTopK GroupScorer::TopKAllItems(std::span<const UserId> group,
                                     int k) const {
-  std::vector<ItemId> candidates(
-      static_cast<std::size_t>(store_.num_items()));
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    candidates[i] = static_cast<ItemId>(i);
+  GF_CHECK_GT(k, 0);
+  GroupTopK result;
+  const ItemId num_items = store_.num_items();
+  if (group.empty() || num_items == 0) return result;
+
+  const ScratchScope scope(store_, group);
+  const int group_size = static_cast<int>(group.size());
+  const double r_min = store_.scale().min;
+  std::vector<ScoredItem>& scored = result.items;
+  scored.reserve(scope.touched().size() +
+                 std::min(static_cast<std::size_t>(k), scope.size()));
+  for (ItemId item : scope.touched()) {
+    scored.push_back(
+        {item, ScoreFromAccum(scope.at(item), group_size, options_, r_min)});
   }
-  return TopK(group, k, candidates);
+  // Every untouched item scores the same constant, and the tie rule
+  // prefers lower ids, so only the k lowest-id untouched items can enter
+  // the top-k. Finding them skips at most |touched| slots.
+  const double untouched_score =
+      ScoreFromAccum(Accum{}, group_size, options_, r_min);
+  int filled = 0;
+  for (ItemId item = 0; item < num_items && filled < k; ++item) {
+    if (scope.at(item).raters != 0) continue;
+    scored.push_back({item, untouched_score});
+    ++filled;
+  }
+  KeepTopK(scored, k);
+  return result;
 }
 
 GroupTopK GroupScorer::TopKUnionCandidates(std::span<const UserId> group,

@@ -29,9 +29,7 @@ struct GroupTopK {
 
 /// The library-wide scored-item ordering: score descending, ties broken
 /// by ascending item id. A strict total order over distinct items — the
-/// one definition shared by every top-k producer and by the sharded
-/// partial-top-k merge in core::ScoreGroups, so re-sorting merged
-/// partials always reproduces exactly the unsharded sequence.
+/// one definition shared by every top-k producer.
 inline bool BetterScoredItem(const ScoredItem& a, const ScoredItem& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.item < b.item;
@@ -60,24 +58,19 @@ class GroupScorer {
   /// O(|g| log d̄) via per-user binary searches.
   double ItemScore(std::span<const UserId> group, ItemId item) const;
 
-  /// The group's top-k list over an explicit candidate item set.
-  /// O(R_g + C log C) where R_g is the total number of ratings held by
+  /// The group's top-k list over an explicit candidate item set (any
+  /// order; ids outside the catalogue score as unrated).
+  /// O(R_g + C log k) where R_g is the total number of ratings held by
   /// group members and C the candidate count.
   GroupTopK TopK(std::span<const UserId> group, int k,
                  std::span<const ItemId> candidates) const;
 
-  /// Top-k over the full catalogue [0, num_items).
+  /// Top-k over the full catalogue [0, num_items), bit-identical to TopK
+  /// over the explicit list {0, ..., num_items - 1} but without per-call
+  /// O(catalogue) work: O(R_g + T log k) for the T items some member rated
+  /// (DESIGN.md §10.3). Items no member rated share one constant score,
+  /// so only the k lowest-id ones are considered.
   GroupTopK TopKAllItems(std::span<const UserId> group, int k) const;
-
-  /// Top-k over the contiguous item range [begin, end) — the within-group
-  /// sharding primitive of core::ScoreGroups. Equivalent to TopK over the
-  /// explicit candidate list {begin, ..., end - 1} (bit-identical scores
-  /// and ordering), but scans only the slice of each member's rating row
-  /// covering the range (one binary search per member), so sharding a
-  /// catalogue into R ranges costs O(R_g + C log C) total like the
-  /// unsharded scan — not R times the row-scan work.
-  GroupTopK TopKItemRange(std::span<const UserId> group, int k, ItemId begin,
-                          ItemId end) const;
 
   /// Top-k over the union of each member's `depth` personally-highest-rated
   /// items — the truncated candidate policy the paper describes for the

@@ -154,15 +154,14 @@ TEST(SolverRegistry, NamesAreSorted) {
 }
 
 /// A factory that validates its parallelism knob the way the built-in
-/// localsearch factory does: a malformed or negative shard_min_items
-/// must fail Create with INVALID_ARGUMENT, not silently keep the default.
+/// localsearch factory does: a malformed parallel_moves must fail Create
+/// with INVALID_ARGUMENT, not silently keep the default.
 SolverRegistry::Factory CheckedFactory() {
   return [](const FormationProblem& problem, const SolverOptions& options)
              -> common::StatusOr<std::unique_ptr<FormationSolver>> {
-    GF_ASSIGN_OR_RETURN(
-        const long long shard_min_items,
-        options.GetCheckedInt("shard_min_items", 4096, /*min_value=*/0));
-    (void)shard_min_items;
+    GF_ASSIGN_OR_RETURN(const bool parallel_moves,
+                        options.GetCheckedBool("parallel_moves", true));
+    (void)parallel_moves;
     return common::StatusOr<std::unique_ptr<FormationSolver>>(
         std::make_unique<OneGroupSolver>(problem, 0.0));
   };
@@ -180,30 +179,31 @@ TEST(SolverRegistry, BadKnobValuesFailAtLookupTimeUnknownNamesAreNotFound) {
   // Unknown solver: NOT_FOUND, regardless of options.
   const auto missing = registry.Create(
       "no-such-solver", problem,
-      SolverOptions().Set("shard_min_items", "64"));
+      SolverOptions().Set("parallel_moves", "true"));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
 
   // Known solver, malformed knob: INVALID_ARGUMENT naming the key.
   const auto garbage = registry.Create(
       "checked-stub", problem,
-      SolverOptions().Set("shard_min_items", "zebra"));
+      SolverOptions().Set("parallel_moves", "zebra"));
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.status().code(), common::StatusCode::kInvalidArgument);
-  EXPECT_NE(garbage.status().message().find("shard_min_items"),
+  EXPECT_NE(garbage.status().message().find("parallel_moves"),
             std::string::npos);
 
-  // Known solver, negative knob: INVALID_ARGUMENT.
+  // Known solver, numeric value outside the boolean literals:
+  // INVALID_ARGUMENT.
   const auto negative = registry.Create(
       "checked-stub", problem,
-      SolverOptions().Set("shard_min_items", "-1"));
+      SolverOptions().Set("parallel_moves", "-1"));
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().code(), common::StatusCode::kInvalidArgument);
 
   // Valid and absent values still construct.
   EXPECT_TRUE(registry
                   .Create("checked-stub", problem,
-                          SolverOptions().Set("shard_min_items", "512"))
+                          SolverOptions().Set("parallel_moves", "0"))
                   .ok());
   EXPECT_TRUE(registry.Create("checked-stub", problem).ok());
   registry.Unregister("checked-stub");

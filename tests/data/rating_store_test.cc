@@ -29,16 +29,6 @@ std::vector<Visited> CollectRow(const RatingStore& store, UserId user) {
   return out;
 }
 
-std::vector<Visited> CollectRange(const RatingStore& store, UserId user,
-                                  ItemId begin, ItemId end) {
-  std::vector<Visited> out;
-  store.VisitRowRange(user, begin, end,
-                      [&out](ItemId item, Rating rating) {
-                        out.push_back({item, rating});
-                      });
-  return out;
-}
-
 TEST(RatingStore, DenseViewMatchesTheMatrixExactly) {
   const auto matrix = GenerateLatentFactor(MovieLensLikeConfig(10, 8, 3));
   const RatingStore store(matrix);
@@ -82,26 +72,6 @@ TEST(RatingStore, CompactViewMatchesTheCompactMatrixExactly) {
       EXPECT_EQ(span[i].item, visited[i].item);
       EXPECT_EQ(span[i].rating, visited[i].rating);
       EXPECT_EQ(store.GetRating(u, visited[i].item), visited[i].rating);
-    }
-  }
-}
-
-TEST(RatingStore, RangeVisitsAgreeWithFullVisitsOnBothBackends) {
-  const auto matrix = GenerateLatentFactor(MovieLensLikeConfig(8, 12, 9));
-  const auto compact = CompactRatingMatrix::FromMatrix(matrix, 8);
-  for (const RatingStore& store :
-       {RatingStore(matrix), RatingStore(compact)}) {
-    for (UserId u = 0; u < store.num_users(); ++u) {
-      const auto full = CollectRow(store, u);
-      for (const auto& [begin, end] :
-           {std::pair<ItemId, ItemId>{0, 12}, {3, 7}, {11, 12}, {5, 5}}) {
-        std::vector<Visited> expected;
-        for (const auto& v : full) {
-          if (v.item >= begin && v.item < end) expected.push_back(v);
-        }
-        EXPECT_EQ(CollectRange(store, u, begin, end), expected)
-            << "u=" << u << " [" << begin << "," << end << ")";
-      }
     }
   }
 }

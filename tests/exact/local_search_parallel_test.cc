@@ -258,13 +258,13 @@ TEST_F(LocalSearchParallelTest, FactoryValidatesParallelKnobsAtCreate) {
 
   const auto negative = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "-4"));
+      core::SolverOptions().Set("parallel_moves", "-4"));
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().code(), common::StatusCode::kInvalidArgument);
 
   const auto garbage = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "zebra"));
+      core::SolverOptions().Set("parallel_moves", "zebra"));
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.status().code(), common::StatusCode::kInvalidArgument);
 
@@ -275,9 +275,10 @@ TEST_F(LocalSearchParallelTest, FactoryValidatesParallelKnobsAtCreate) {
   EXPECT_EQ(bad_bool.status().code(),
             common::StatusCode::kInvalidArgument);
 
+  // A key the factory does not read is ignored like any unknown key.
   const auto valid = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "128").Set(
+      core::SolverOptions().Set("shard_min_items", "zebra").Set(
           "parallel_moves", "false"));
   ASSERT_TRUE(valid.ok()) << valid.status();
   const auto solved = (*valid)->Solve();

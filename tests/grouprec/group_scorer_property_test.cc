@@ -56,10 +56,9 @@ TEST_P(ScorerPropertyTest, TopKIsSortedBoundedAndConsistent) {
             : matrix.scale().max;
     const double lower =
         policy == MissingRatingPolicy::kZero ? 0.0 : matrix.scale().min;
-    (void)lower;
     for (const auto& si : list.items) {
       EXPECT_LE(si.score, upper + 1e-9);
-      EXPECT_GE(si.score, 0.0);
+      EXPECT_GE(si.score, lower - 1e-9);
       // (3) Each reported score agrees with the single-item entry point.
       EXPECT_DOUBLE_EQ(si.score, scorer.ItemScore(group, si.item));
     }

@@ -202,34 +202,5 @@ TEST(GroupScorer, EmptyCandidatesGiveEmptyList) {
   EXPECT_TRUE(scorer.TopK(group, 3, no_candidates).empty());
 }
 
-TEST(GroupScorer, TopKItemRangeMatchesExplicitCandidateList) {
-  // The sharding primitive: bit-identical to TopK over the equivalent
-  // explicit candidate list, for every semantics x missing policy, on a
-  // sparse matrix (so raters-incomplete items exercise every branch).
-  const auto matrix = data::GenerateLatentFactor(
-      data::MovieLensLikeConfig(18, 30, /*seed=*/91));
-  const std::vector<UserId> group = {0, 3, 7, 11, 16};
-  for (const auto semantics :
-       {Semantics::kLeastMisery, Semantics::kAggregateVoting}) {
-    for (const auto missing :
-         {MissingRatingPolicy::kScaleMin, MissingRatingPolicy::kZero,
-          MissingRatingPolicy::kSkipUser}) {
-      const auto scorer = MakeScorer(matrix, semantics, missing);
-      for (const auto& [begin, end] :
-           std::vector<std::pair<ItemId, ItemId>>{
-               {0, 30}, {0, 1}, {7, 19}, {29, 30}, {12, 12}}) {
-        std::vector<ItemId> candidates;
-        for (ItemId item = begin; item < end; ++item) {
-          candidates.push_back(item);
-        }
-        const auto by_list = scorer.TopK(group, 4, candidates);
-        const auto by_range = scorer.TopKItemRange(group, 4, begin, end);
-        EXPECT_EQ(by_range.items, by_list.items)
-            << "range [" << begin << ", " << end << ")";
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace groupform

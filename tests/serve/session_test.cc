@@ -82,9 +82,9 @@ TEST_F(SessionTest, UnknownSolverIsErrNotFound) {
 TEST_F(SessionTest, BadSolverOptionIsErrInvalidArgument) {
   Session session;
   Request request = TestRequest("localsearch");
-  // shard_min_items is one of the strictly validated knobs: a
-  // non-numeric override fails SolverRegistry::Create.
-  request.options.Set("shard_min_items", "banana");
+  // parallel_moves is a strictly validated knob: a non-boolean
+  // override fails SolverRegistry::Create.
+  request.options.Set("parallel_moves", "banana");
   const Response response = session.Execute(request);
   EXPECT_EQ(response.state, eval::SweepCellState::kErr);
   EXPECT_EQ(response.status.code(),
