@@ -68,6 +68,22 @@ long long FlagParser::GetInt(const std::string& name,
   return value.ok() ? *value : fallback;
 }
 
+StatusOr<long long> FlagParser::GetIntInRange(const std::string& name,
+                                              long long fallback,
+                                              long long min_value,
+                                              long long max_value) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return fallback;
+  long long value = 0;
+  if (!ParseInt64(it->second, &value) || value < min_value ||
+      value > max_value) {
+    return Status::InvalidArgument(
+        StrFormat("--%s must be an integer in [%lld, %lld], got \"%s\"",
+                  name.c_str(), min_value, max_value, it->second.c_str()));
+  }
+  return value;
+}
+
 StatusOr<double> FlagParser::GetDoubleOr(const std::string& name) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) {

@@ -29,6 +29,12 @@ class FlagParser {
                         const std::string& fallback) const;
   StatusOr<long long> GetIntOr(const std::string& name) const;
   long long GetInt(const std::string& name, long long fallback) const;
+  /// `fallback` when the flag is absent, else its value when that is an
+  /// integer in [min_value, max_value]; INVALID_ARGUMENT naming the flag
+  /// and the range otherwise.
+  StatusOr<long long> GetIntInRange(const std::string& name,
+                                    long long fallback, long long min_value,
+                                    long long max_value) const;
   StatusOr<double> GetDoubleOr(const std::string& name) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;

@@ -90,13 +90,6 @@ common::StatusOr<LoadedInstance> LoadInstance(const InstanceSpec& spec) {
   return loaded;
 }
 
-std::int64_t ApproximateMatrixBytes(const data::RatingMatrix& matrix) {
-  // Historically hand-priced as entries + offsets; ByteSize() is that
-  // same figure computed by the matrix itself, kept exact by the
-  // static_asserts on sizeof(RatingEntry).
-  return matrix.ByteSize();
-}
-
 InstanceCache::InstanceCache(std::int64_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {}
 
@@ -163,7 +156,6 @@ common::StatusOr<InstanceCache::EpochInstance> InstanceCache::GetEpoch(
     // Copy-on-first-effective-delta: share the base entry, insert
     // nothing.
     epoch.matrix = epoch.base;
-    epoch.shares_base = true;
   } else {
     const data::RatingMatrix& base = *epoch.base;
     GF_ASSIGN_OR_RETURN(

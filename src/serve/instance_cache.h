@@ -95,6 +95,9 @@ class InstanceCache {
   struct EpochInstance {
     /// serve::EpochKey(spec, deltas).
     std::string key;
+    /// The base instance. Holding it pins the base cache entry for the
+    /// request, and its user count anchors the session's per-prefix
+    /// population count.
     std::shared_ptr<const data::RatingMatrix> base;
     /// The post-delta matrix in epoch-local user ids. Equals `base`
     /// (same object, no copy) when the sequence cancels out.
@@ -102,7 +105,6 @@ class InstanceCache {
     /// Active base-matrix user ids, ascending: epoch-local id i names
     /// base user active_users[i].
     std::vector<UserId> active_users;
-    bool shares_base = false;
   };
 
   /// Resolves `spec` + `deltas` to an epoch, validating the sequence
@@ -186,13 +188,6 @@ class InstanceCache {
   mutable std::map<std::string, std::list<SolutionEntry>::iterator>
       solution_index_;
 };
-
-/// Heap footprint of a loaded dense matrix. Kept for compatibility under
-/// its historical name, but no longer approximate: it delegates to
-/// data::RatingMatrix::ByteSize(), which prices the padded 16-byte
-/// RatingEntry cells plus the row offsets exactly (the figure the cache
-/// charges dense entries).
-std::int64_t ApproximateMatrixBytes(const data::RatingMatrix& matrix);
 
 }  // namespace groupform::serve
 

@@ -218,12 +218,6 @@ std::string CodecErrorResponse(const std::string& message) {
   return RenderResponse(response);
 }
 
-/// Binary credit window: explicit knob, else the pipelining window.
-int EffectiveCreditWindow(const ServerConfig& config) {
-  return config.credit_window > 0 ? config.credit_window
-                                  : config.max_inflight;
-}
-
 bool SendAll(int fd, const std::string& data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
@@ -246,16 +240,6 @@ ServerConfig ServerConfigFromEnv() {
       EnvInt("GF_SERVE_PORT", config.port, 0, 65535));
   config.max_inflight = static_cast<int>(
       EnvInt("GF_SERVE_MAX_INFLIGHT", config.max_inflight, 1, 1 << 20));
-  config.credit_window = static_cast<int>(
-      EnvInt("GF_SERVE_CREDITS", config.credit_window, 0, 1 << 20));
-  if (const char* wire = std::getenv("GF_SERVE_WIRE"); wire != nullptr) {
-    const std::string value = wire;
-    if (value == "json") {
-      config.wire = ServerConfig::Wire::kJson;
-    } else if (value == "binary") {
-      config.wire = ServerConfig::Wire::kBinary;
-    }  // anything else (including "auto") keeps the sniffing default
-  }
   return config;
 }
 
@@ -400,12 +384,6 @@ void TcpServer::Shutdown() {
 }
 
 void TcpServer::HandleConnection(int fd) {
-  if (config_.wire == ServerConfig::Wire::kJson) {
-    // No sniffing at all: the pre-GFB1 behaviour, byte for byte.
-    HandleJsonConnection(fd, std::string(), /*recv_error=*/false,
-                         /*eof=*/false);
-    return;
-  }
   // Wire negotiation (DESIGN.md §15.1): a connection whose first four
   // bytes are exactly the GFB1 magic speaks frames; anything else —
   // including any byte that rules the magic out early — is newline-JSON.
@@ -441,15 +419,6 @@ void TcpServer::HandleConnection(int fd) {
   if (binary) {
     pending.erase(0, kFrameMagicBytes);
     HandleFramedConnection(fd, std::move(pending));
-    return;
-  }
-  if (config_.wire == ServerConfig::Wire::kBinary) {
-    if (!recv_error) {
-      SendAll(fd, CodecErrorResponse(
-                      "this endpoint requires the GFB1 binary wire") +
-                      "\n");
-    }
-    ::close(fd);
     return;
   }
   HandleJsonConnection(fd, std::move(pending), recv_error, eof);
@@ -519,20 +488,20 @@ void TcpServer::HandleJsonConnection(int fd, std::string pending,
 }
 
 void TcpServer::HandleFramedConnection(int fd, std::string pending) {
-  const int credits = EffectiveCreditWindow(config_);
   Hello hello;
-  hello.credits = credits;
+  hello.credits = config_.max_inflight;
   hello.max_frame_bytes = kMaxRequestLineBytes;
   hello.max_batch_requests = kMaxBatchRequests;
   if (!SendAll(fd, EncodeFrame(FrameType::kHello, 0, RenderHello(hello)))) {
     ::close(fd);
     return;
   }
-  // The credit window doubles as the executor window, so a client that
+  // The credit window is the executor window, so a client that
   // over-sends past zero credits degrades to TCP backpressure against
   // the same bound instead of gaining queue depth.
   PipelinedExecutor executor(
-      handler_, credits, [fd](const PipelinedExecutor::Item& item) {
+      handler_, config_.max_inflight,
+      [fd](const PipelinedExecutor::Item& item) {
         // Every retired response hands its window slot back: 1 credit.
         return SendAll(fd, EncodeFrame(item.batch
                                            ? FrameType::kBatchResponse

@@ -15,8 +15,8 @@
 // frame codec with explicit credit-based backpressure (the server grants
 // credits in response frames; a well-behaved client stops sending at
 // zero, and an over-sending one degrades to TCP backpressure against the
-// same window); anything else is the canonical newline-JSON wire, whose
-// per-stream window stays max_inflight. Both wires accept single
+// same window); anything else is the canonical newline-JSON wire. Both
+// wires share the per-stream window max_inflight, and both accept single
 // `groupform.request/1`/`groupform.delta/1` documents and
 // `groupform.batch/1` envelopes.
 //
@@ -46,23 +46,14 @@ struct ServerConfig {
   /// port is reported by TcpServer::port()).
   int port = 4017;
   /// Requests in flight per stream (pipelining window). 1 = strictly
-  /// sequential.
+  /// sequential. Binary-wire clients see it as their credit window: it is
+  /// both the client-visible credit budget and the server-side executor
+  /// bound, so a client that ignores its credits gains nothing.
   int max_inflight = 4;
-  /// Credit window announced to binary-wire clients (frames in flight
-  /// per stream); 0 = follow max_inflight. The window is both the
-  /// client-visible credit budget and the server-side executor bound, so
-  /// a client that ignores its credits gains nothing.
-  int credit_window = 0;
-  /// Which wires a connection may negotiate. kAuto sniffs per
-  /// connection; kJson skips sniffing entirely (the pre-GFB1 behaviour);
-  /// kBinary answers JSON openings with one ERR line and closes.
-  enum class Wire { kAuto, kJson, kBinary };
-  Wire wire = Wire::kAuto;
 };
 
-/// GF_SERVE_PORT / GF_SERVE_MAX_INFLIGHT / GF_SERVE_CREDITS /
-/// GF_SERVE_WIRE (auto|json|binary), with the defaults above for unset
-/// or malformed values.
+/// GF_SERVE_PORT / GF_SERVE_MAX_INFLIGHT, with the defaults above for
+/// unset or malformed values.
 ServerConfig ServerConfigFromEnv();
 
 /// GF_SERVE_CACHE_MB → SessionConfig (default 256 MB; 0 = unlimited).

@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <memory>
@@ -14,7 +13,6 @@
 #include "common/strings.h"
 #include "core/delta.h"
 #include "core/formation.h"
-#include "core/incremental.h"
 #include "core/solver_registry.h"
 #include "eval/metrics.h"
 #include "eval/weighted_objective.h"
@@ -148,48 +146,19 @@ struct DeltaSolve {
   double previous_objective = 0.0;
 };
 
-/// The greedy fast path: core::IncrementalFormer on the *base* problem,
-/// replaying the membership deltas instead of re-solving the epoch from
-/// scratch. Form() ≡ GreedyFormer on the active population and the
-/// active→local id map is monotone, so after remapping this is
-/// byte-identical to a fresh greedy solve of the epoch matrix.
-common::StatusOr<DeltaSolve> SolveGreedyDelta(
-    const core::FormationProblem& base_problem, const Request& request,
-    const InstanceCache::EpochInstance& epoch) {
-  core::IncrementalFormer former(base_problem);
-  former.AddAllUsers();
-  const auto apply = [&former](const core::PopulationDelta& delta) {
-    return delta.kind == core::PopulationDelta::Kind::kAddUser
-               ? former.AddUser(delta.user)
-               : former.RemoveUser(delta.user);
-  };
-  const std::size_t n = request.deltas.size();
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    GF_RETURN_IF_ERROR(apply(request.deltas[i]));
+/// Active users after the first `prefix` deltas. Only valid for a prefix
+/// of a sequence GetEpoch already accepted: ApplyDeltas rejects any add
+/// of an active user and any remove of an inactive one, so counting them
+/// is exact. Zero means the prefix emptied the population — a legal state
+/// mid-sequence that ApplyDeltas refuses to materialise.
+std::int64_t PrefixPopulation(const InstanceCache::EpochInstance& epoch,
+                              std::span<const core::PopulationDelta> prefix) {
+  std::int64_t users = epoch.base->num_users();
+  for (const core::PopulationDelta& delta : prefix) {
+    if (delta.kind == core::PopulationDelta::Kind::kAddUser) ++users;
+    if (delta.kind == core::PopulationDelta::Kind::kRemoveUser) --users;
   }
-  DeltaSolve solve;
-  if (former.num_active() == 0) {
-    // The previous prefix removed everyone (the full sequence re-adds at
-    // least one user, or ApplyDeltas would have rejected it).
-    solve.previous_objective = 0.0;
-  } else {
-    GF_ASSIGN_OR_RETURN(const core::FormationResult previous,
-                        former.Form());
-    solve.previous_objective = previous.objective;
-  }
-  if (n > 0) GF_RETURN_IF_ERROR(apply(request.deltas[n - 1]));
-  GF_ASSIGN_OR_RETURN(solve.current, former.Form());
-  // Base ids → epoch-local ids. The map is monotone, so members stay
-  // sorted and group order is untouched.
-  for (core::FormedGroup& group : solve.current.groups) {
-    for (UserId& member : group.members) {
-      const auto it =
-          std::lower_bound(epoch.active_users.begin(),
-                           epoch.active_users.end(), member);
-      member = static_cast<UserId>(it - epoch.active_users.begin());
-    }
-  }
-  return solve;
+  return users;
 }
 
 }  // namespace
@@ -362,31 +331,36 @@ Response Session::ExecuteDelta(
                         "deadline_ms expired before execution started"));
   }
 
-  const bool membership_only = std::none_of(
-      request.deltas.begin(), request.deltas.end(),
-      [](const core::PopulationDelta& delta) {
-        return delta.kind == core::PopulationDelta::Kind::kRerate;
-      });
+  // The deltas that produce prefix epoch i. A prefix that empties the
+  // population has no epoch to solve: as the previous epoch it prices at
+  // objective 0 (docs/PROTOCOL.md).
+  const auto prefix = [&](std::size_t i) {
+    return std::span(request.deltas.data(), i);
+  };
 
-  // Route B: localsearch folds a warm start forward, one prefix epoch at
-  // a time. A(0) is a cold solve of the base; A(i) climbs epoch i from
-  // AdaptAssignment(A(i-1)). Every prefix solve is memoized under a
+  // The warm fold: localsearch folds a warm start forward, one prefix
+  // epoch at a time. A(0) is a cold solve of the base; A(i) climbs epoch
+  // i from AdaptAssignment(A(i-1)). An emptied prefix is skipped and the
+  // next epoch restarts cold. Every prefix solve is memoized under a
   // canonical key, so the fold is a per-step increment on the hot path
   // and the result is identical at every thread count and window.
   const auto warm_fold = [&]() -> common::StatusOr<DeltaSolve> {
     DeltaSolve solve;
     core::FormationResult previous;
-    std::vector<UserId> previous_active;
+    std::vector<UserId> previous_active;  // empty: solve the next epoch cold
     const std::size_t n = request.deltas.size();
     for (std::size_t i = 0; i <= n; ++i) {
+      if (i < n && PrefixPopulation(epoch, prefix(i)) == 0) {
+        // solve.previous_objective stays 0 when this is the last prefix.
+        previous_active.clear();
+        continue;
+      }
       InstanceCache::EpochInstance epoch_i;
       if (i == n) {
         epoch_i = epoch;
       } else {
-        GF_ASSIGN_OR_RETURN(
-            epoch_i,
-            cache_.GetEpoch(request.instance,
-                            std::span(request.deltas.data(), i)));
+        GF_ASSIGN_OR_RETURN(epoch_i,
+                            cache_.GetEpoch(request.instance, prefix(i)));
       }
       const std::string key =
           SolutionMemoKey(epoch_i.key, request, /*warm_fold=*/true);
@@ -405,7 +379,7 @@ Response Session::ExecuteDelta(
           if (name == core::kStartAssignmentKey) continue;
           options_i.Set(name, value);
         }
-        if (i > 0) {
+        if (!previous_active.empty()) {
           std::vector<std::vector<UserId>> carried;
           carried.reserve(previous.groups.size());
           for (const core::FormedGroup& group : previous.groups) {
@@ -451,9 +425,8 @@ Response Session::ExecuteDelta(
     return solve;
   };
 
-  // Route C: memoized cold solves of the epoch and (for the objective
-  // delta) its predecessor. Also the greedy route once rerates are in
-  // play — IncrementalFormer maintains membership, not ratings.
+  // The cold route: memoized cold solves of the epoch and (for the
+  // objective delta) its predecessor — every solver but localsearch.
   const auto cold_solve =
       [&](const InstanceCache::EpochInstance& target,
           const core::FormationProblem& target_problem)
@@ -481,11 +454,10 @@ Response Session::ExecuteDelta(
       solve.previous_objective = solve.current.objective;
       return solve;
     }
-    GF_ASSIGN_OR_RETURN(
-        const auto previous_epoch,
-        cache_.GetEpoch(request.instance,
-                        std::span(request.deltas.data(),
-                                  request.deltas.size() - 1)));
+    const auto previous_deltas = prefix(request.deltas.size() - 1);
+    if (PrefixPopulation(epoch, previous_deltas) == 0) return solve;
+    GF_ASSIGN_OR_RETURN(const auto previous_epoch,
+                        cache_.GetEpoch(request.instance, previous_deltas));
     GF_ASSIGN_OR_RETURN(
         const auto previous_problem,
         BuildProblem(request.problem, *previous_epoch.matrix));
@@ -496,19 +468,8 @@ Response Session::ExecuteDelta(
   };
 
   common::Stopwatch stopwatch;
-  common::StatusOr<DeltaSolve> solved = [&]() {
-    if (request.solver == "greedy" && membership_only) {
-      // Route A needs the *base* problem — the former replays deltas on
-      // the base matrix.
-      auto base_problem_or = BuildProblem(request.problem, *epoch.base);
-      if (!base_problem_or.ok()) {
-        return common::StatusOr<DeltaSolve>(base_problem_or.status());
-      }
-      return SolveGreedyDelta(*base_problem_or, request, epoch);
-    }
-    if (request.solver == "localsearch") return warm_fold();
-    return resolve();
-  }();
+  common::StatusOr<DeltaSolve> solved =
+      request.solver == "localsearch" ? warm_fold() : resolve();
   const double seconds = stopwatch.ElapsedSeconds();
   if (!solved.ok()) {
     const bool dnf = solved.status().code() ==

@@ -47,14 +47,13 @@ class Session : public LineHandler {
   /// Executes a parsed `groupform.delta/1` request (DESIGN.md §13).
   /// Resolves the epoch through InstanceCache::GetEpoch (malformed delta
   /// sequences answer ERR(INVALID_ARGUMENT) on the wire), then solves by
-  /// route: the greedy solver with membership-only deltas re-forms via
-  /// core::IncrementalFormer on the base matrix; localsearch folds a
-  /// warm start forward from the previous epoch's memoized solution;
-  /// everything else cold-solves the epoch (and its predecessor, for
-  /// objective_delta_vs_previous) with per-epoch memoization. All cached
-  /// state is pure memoization keyed by (epoch, solver, options,
-  /// problem, seed), so responses are byte-identical at every thread
-  /// count and pipelining window.
+  /// route: localsearch folds a warm start forward from the previous
+  /// epoch's memoized solution; every other solver cold-solves the epoch
+  /// (and its predecessor, for objective_delta_vs_previous) with
+  /// per-epoch memoization. A predecessor that emptied the population
+  /// prices at objective 0. All cached state is pure memoization keyed
+  /// by (epoch, solver, options, problem, seed), so responses are
+  /// byte-identical at every thread count and pipelining window.
   Response ExecuteDelta(
       const Request& request,
       std::chrono::steady_clock::time_point received_at =

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace groupform::common {
 namespace {
 
@@ -41,6 +43,24 @@ TEST(FlagParser, TypedGettersValidate) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 1.5);
   EXPECT_EQ(flags.GetIntOr("missing").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(FlagParser, IntInRangeChecksPresentValues) {
+  const auto flags = ParseOk({"--ok=7", "--lo=-1", "--hi=17", "--bad=1e3",
+                              "--edge=16"});
+  // Absent: the fallback, even one outside the range.
+  EXPECT_EQ(*flags.GetIntInRange("absent", -5, 0, 16), -5);
+  EXPECT_EQ(*flags.GetIntInRange("ok", 0, 0, 16), 7);
+  EXPECT_EQ(*flags.GetIntInRange("edge", 0, 0, 16), 16);
+  for (const char* name : {"lo", "hi", "bad"}) {
+    const auto value = flags.GetIntInRange(name, 1, 0, 16);
+    ASSERT_FALSE(value.ok()) << name;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    // The message names the flag, so a daemon can print it as is.
+    EXPECT_NE(value.status().message().find(std::string("--") + name),
+              std::string::npos)
+        << value.status().message();
+  }
 }
 
 TEST(FlagParser, MalformedFlagFails) {

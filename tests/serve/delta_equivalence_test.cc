@@ -8,7 +8,8 @@
 //  2. Warm-started localsearch (the delta fold) never reports a worse
 //     objective than a cold solve of the same epoch.
 //  3. `objective_delta_vs_previous` is exactly the difference between
-//     the epoch's objective and its one-shorter prefix's objective.
+//     the epoch's objective and its one-shorter prefix's objective,
+//     which is 0 when that prefix removed every user.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -219,6 +220,46 @@ TEST_F(DeltaEquivalenceTest, EmptySequenceIsItsOwnPrevious) {
   // A cancelling sequence shares the base matrix's cache entry: one
   // instance, no epoch copy.
   EXPECT_EQ(session.cache().stats().entries, 1);
+}
+
+TEST_F(DeltaEquivalenceTest, EmptiedPreviousEpochPricesAtZero) {
+  // Two users; the prefix "remove 0, remove 1" leaves nobody, the full
+  // sequence re-adds user 0. The previous epoch has no population to
+  // solve, so its objective is 0 on every route.
+  InstanceSpec two_users;
+  two_users.kind = "inline";
+  two_users.users = 2;
+  two_users.items = 3;
+  for (UserId u = 0; u < 2; ++u) {
+    for (ItemId i = 0; i < 3; ++i) {
+      two_users.ratings.push_back({u, i, 1.0 + u + i});
+    }
+  }
+  const std::vector<core::PopulationDelta> deltas = {
+      {Kind::kRemoveUser, 0}, {Kind::kRemoveUser, 1}, {Kind::kAddUser, 0}};
+  for (const char* solver : {"greedy", "localsearch", "sa", "veckmeans"}) {
+    Session session;
+    Request request = DeltaRequest(solver, deltas);
+    request.instance = two_users;
+    request.problem.k = 2;
+    request.problem.groups = 2;
+    const Response response = session.ExecuteDelta(request);
+    EXPECT_EQ(response.state, eval::SweepCellState::kOk)
+        << solver << ": " << response.status;
+    if (response.state != eval::SweepCellState::kOk) continue;
+    EXPECT_EQ(response.objective_delta_vs_previous, response.objective)
+        << solver;
+
+    // One more delta: the emptied epoch is now two back, and the fold
+    // restarts cold after it instead of failing.
+    request.deltas.push_back({Kind::kAddUser, 1});
+    const Response longer = session.ExecuteDelta(request);
+    ASSERT_EQ(longer.state, eval::SweepCellState::kOk)
+        << solver << ": " << longer.status;
+    EXPECT_EQ(longer.objective_delta_vs_previous,
+              longer.objective - response.objective)
+        << solver;
+  }
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(InstanceCache, HitsShareOneLoadedMatrix) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.bytes, ApproximateMatrixBytes(*first->dense));
+  EXPECT_EQ(stats.bytes, first->dense->ByteSize());
   EXPECT_EQ(stats.bytes, first->ChargedBytes());
 }
 
@@ -67,7 +67,7 @@ TEST(InstanceCache, EvictsLeastRecentlyUsedWithinBudget) {
   std::int64_t one_entry;
   {
     InstanceCache sizing(0);
-    one_entry = ApproximateMatrixBytes(*sizing.Get(spec_a)->dense);
+    one_entry = sizing.Get(spec_a)->dense->ByteSize();
   }
   InstanceCache cache(2 * one_entry);
   ASSERT_TRUE(cache.Get(spec_a).ok());
@@ -90,7 +90,7 @@ TEST(InstanceCache, PinnedEntriesAreNeverEvicted) {
   std::int64_t one_entry;
   {
     InstanceCache sizing(0);
-    one_entry = ApproximateMatrixBytes(*sizing.Get(spec_a)->dense);
+    one_entry = sizing.Get(spec_a)->dense->ByteSize();
   }
   // Budget of one entry: every insertion wants to evict everything else.
   InstanceCache cache(one_entry);

@@ -50,11 +50,11 @@ std::string HundredRequestStream() {
 }
 
 /// 60 lines alternating plain requests with groupform.delta/1 requests
-/// against the same dense instance, rotating the delta routes: greedy +
-/// membership-only deltas (IncrementalFormer fast path), localsearch
-/// (warm-start fold), and other solvers / rerate sequences (memoized
-/// cold re-solve). Sequences repeat, so concurrent streams race on the
-/// same epoch entries and solution-memo keys.
+/// against the same dense instance, rotating the delta routes:
+/// localsearch (warm-start fold) and every other solver (memoized cold
+/// re-solve), over membership-only and rerate sequences. Sequences
+/// repeat, so concurrent streams race on the same epoch entries and
+/// solution-memo keys.
 std::string InterleavedDeltaStream() {
   using Kind = core::PopulationDelta::Kind;
   const std::vector<std::vector<core::PopulationDelta>> sequences = {

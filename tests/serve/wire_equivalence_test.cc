@@ -150,7 +150,7 @@ class WireEquivalenceTest : public ::testing::Test {
       Session session;
       ServerConfig config;
       config.port = 0;
-      config.max_inflight = window;  // credit_window=0 follows this
+      config.max_inflight = window;  // also the hello's credit window
       TcpServer server(session, config);
       ASSERT_TRUE(server.Start().ok());
       std::thread serving([&] {

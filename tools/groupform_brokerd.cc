@@ -5,8 +5,8 @@
 // ephemeral loopback ports, then serves the ordinary wire protocol —
 // newline-JSON and GFB1 binary, single documents and batch envelopes —
 // routing every request by instance affinity: its instance cache key
-// consistent-hashes to one worker, which answers it verbatim. The fleet
-// splits the instance-cache working set N ways.
+// consistent-hashes to one worker, which answers it verbatim over
+// newline-JSON. The fleet splits the instance-cache working set N ways.
 //
 // Responses are byte-identical to a single groupform_serverd at every
 // fleet size, worker thread count, and wire — the fleet equivalence
@@ -25,24 +25,24 @@
 //   --worker-threads N  per-worker thread pool size (0 = worker default)
 //   --worker-cache-mb N per-worker instance cache budget, -1 = the
 //                       worker default, else as serverd --cache-mb (-1)
-//   --worker-wire M     json | binary: wire of the broker→worker hop
-//                       (binary)
 //   --retries N         per-request re-attempts after a failed worker
 //                       call                                (1)
 //   --backoff-ms N      pause before each re-attempt        (50)
 //   --pipe              serve stdin→stdout instead of TCP
 //   --port N            TCP port, 0 = ephemeral  (GF_SERVE_PORT, 4018)
 //   --port-file PATH    write the bound TCP port to PATH
-//   --max-inflight N    pipelining window        (GF_SERVE_MAX_INFLIGHT)
-//   --credits N         binary-wire credit window (GF_SERVE_CREDITS)
-//   --wire MODE         auto | json | binary client wires (GF_SERVE_WIRE)
+//   --max-inflight N    pipelining and credit window
+//                                            (GF_SERVE_MAX_INFLIGHT)
 //   --threads N         broker pool size (GF_THREADS)
+//
+// A malformed or out-of-range numeric flag exits 2 and names the flag.
 //
 // SIGINT/SIGTERM stop the listener, drain in-flight requests, and tear
 // the worker fleet down (SIGTERM + waitpid).
 #include <csignal>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "common/flags.h"
 #include "common/thread_pool.h"
@@ -77,53 +77,59 @@ int RealMain(int argc, char** argv) {
         "  --serverd PATH      worker binary (default: sibling)\n"
         "  --worker-threads N  per-worker pool size (0 = worker default)\n"
         "  --worker-cache-mb N per-worker cache budget (-1 = default)\n"
-        "  --worker-wire M     json | binary broker→worker hop (binary)\n"
         "  --retries N         re-attempts per failed worker call (1)\n"
         "  --backoff-ms N      pause before each re-attempt (50)\n"
         "  --pipe              stdin/stdout mode (exit at EOF)\n"
         "  --port N            TCP port, 0 = ephemeral (GF_SERVE_PORT)\n"
         "  --port-file PATH    write the bound TCP port to PATH\n"
-        "  --max-inflight N    pipelining window (GF_SERVE_MAX_INFLIGHT)\n"
-        "  --credits N         credit window (GF_SERVE_CREDITS)\n"
-        "  --wire MODE         auto|json|binary client wires\n"
+        "  --max-inflight N    pipelining and credit window "
+        "(GF_SERVE_MAX_INFLIGHT)\n"
         "  --threads N         broker pool size (GF_THREADS)\n");
     return 0;
   }
-  if (flags.Has("threads")) {
-    const auto threads = flags.GetIntOr("threads");
-    if (!threads.ok() || *threads < 1) {
-      std::fprintf(stderr, "--threads must be a positive integer\n");
+  // A malformed or out-of-range numeric flag is a startup error, not a
+  // silent fallback to the default.
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  serve::ServerConfig server_config = serve::ServerConfigFromEnv();
+  if (!flags.Has("port") && server_config.port == 4017) {
+    server_config.port = 4018;  // default one above the worker daemon's
+  }
+  const auto threads = flags.GetIntInRange("threads", 0, 1, kIntMax);
+  const auto workers = flags.GetIntInRange("workers", 2, 1, 256);
+  const auto worker_threads =
+      flags.GetIntInRange("worker-threads", 0, 0, kIntMax);
+  // serverd's own --cache-mb range (-1 = the worker default), checked
+  // here so a bad value names this flag instead of surfacing as a worker
+  // that died at startup.
+  const auto worker_cache_mb =
+      flags.GetIntInRange("worker-cache-mb", -1, -1, 1ll << 40);
+  const auto retries = flags.GetIntInRange("retries", 1, 0, 16);
+  const auto backoff_ms = flags.GetIntInRange("backoff-ms", 50, 0, 60000);
+  const auto port =
+      flags.GetIntInRange("port", server_config.port, 0, 65535);
+  const auto max_inflight = flags.GetIntInRange(
+      "max-inflight", server_config.max_inflight, 1, 1 << 20);
+  for (const auto* value :
+       {&threads, &workers, &worker_threads, &worker_cache_mb, &retries,
+        &backoff_ms, &port, &max_inflight}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->status().message().c_str());
       return 2;
     }
+  }
+  if (*threads > 0) {
     common::ThreadPool::SetDefaultThreadCount(static_cast<int>(*threads));
   }
-
   fleet::WorkerFleet::Options fleet_options;
-  const long long workers = flags.GetInt("workers", 2);
-  if (workers < 1 || workers > 256) {
-    std::fprintf(stderr, "--workers must be in [1, 256], got %lld\n",
-                 workers);
-    return 2;
-  }
-  fleet_options.num_workers = static_cast<int>(workers);
+  fleet_options.num_workers = static_cast<int>(*workers);
   fleet_options.serverd_path = flags.GetString("serverd", "");
-  const long long worker_threads = flags.GetInt("worker-threads", 0);
-  if (worker_threads < 0) {
-    std::fprintf(stderr, "--worker-threads must be >= 0\n");
-    return 2;
-  }
-  fleet_options.threads = static_cast<int>(worker_threads);
-  // serverd's own --cache-mb range, checked here so a bad value names
-  // this flag instead of surfacing as a worker that died at startup.
-  const long long worker_cache_mb = flags.GetInt("worker-cache-mb", -1);
-  if (worker_cache_mb < -1 || worker_cache_mb > (1ll << 40)) {
-    std::fprintf(stderr,
-                 "--worker-cache-mb must be -1 (worker default) or in "
-                 "[0, 2^40], got %lld\n",
-                 worker_cache_mb);
-    return 2;
-  }
-  fleet_options.cache_mb = worker_cache_mb;
+  fleet_options.threads = static_cast<int>(*worker_threads);
+  fleet_options.cache_mb = *worker_cache_mb;
+  fleet::BrokerConfig broker_config;
+  broker_config.retries = static_cast<int>(*retries);
+  broker_config.backoff_ms = static_cast<int>(*backoff_ms);
+  server_config.port = static_cast<int>(*port);
+  server_config.max_inflight = static_cast<int>(*max_inflight);
 
   // FlagParser ignores unknown flags, so a retired mode must fail loudly
   // rather than silently run as affinity.
@@ -134,75 +140,6 @@ int RealMain(int argc, char** argv) {
                  "removed; affinity is the only routing mode)\n",
                  mode.c_str());
     return 2;
-  }
-  fleet::BrokerConfig broker_config;
-  const long long retries = flags.GetInt("retries", 1);
-  if (retries < 0 || retries > 16) {
-    std::fprintf(stderr, "--retries must be in [0, 16], got %lld\n",
-                 retries);
-    return 2;
-  }
-  broker_config.retries = static_cast<int>(retries);
-  const long long backoff_ms = flags.GetInt("backoff-ms", 50);
-  if (backoff_ms < 0 || backoff_ms > 60000) {
-    std::fprintf(stderr, "--backoff-ms must be in [0, 60000], got %lld\n",
-                 backoff_ms);
-    return 2;
-  }
-  broker_config.backoff_ms = static_cast<int>(backoff_ms);
-
-  serve::WireClient::Wire worker_wire = serve::WireClient::Wire::kBinary;
-  const std::string worker_wire_flag =
-      flags.GetString("worker-wire", "binary");
-  if (worker_wire_flag == "json") {
-    worker_wire = serve::WireClient::Wire::kJson;
-  } else if (worker_wire_flag != "binary") {
-    std::fprintf(stderr,
-                 "--worker-wire must be json or binary, got \"%s\"\n",
-                 worker_wire_flag.c_str());
-    return 2;
-  }
-
-  serve::ServerConfig server_config = serve::ServerConfigFromEnv();
-  if (!flags.Has("port") && server_config.port == 4017) {
-    server_config.port = 4018;  // default one above the worker daemon's
-  }
-  const long long port = flags.GetInt("port", server_config.port);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port must be in [0, 65535], got %lld\n", port);
-    return 2;
-  }
-  server_config.port = static_cast<int>(port);
-  const long long max_inflight =
-      flags.GetInt("max-inflight", server_config.max_inflight);
-  if (max_inflight < 1 || max_inflight > (1 << 20)) {
-    std::fprintf(stderr, "--max-inflight must be in [1, %d], got %lld\n",
-                 1 << 20, max_inflight);
-    return 2;
-  }
-  server_config.max_inflight = static_cast<int>(max_inflight);
-  const long long credit_window =
-      flags.GetInt("credits", server_config.credit_window);
-  if (credit_window < 0 || credit_window > (1 << 20)) {
-    std::fprintf(stderr, "--credits must be in [0, %d], got %lld\n",
-                 1 << 20, credit_window);
-    return 2;
-  }
-  server_config.credit_window = static_cast<int>(credit_window);
-  if (flags.Has("wire")) {
-    const std::string wire = flags.GetString("wire", "auto");
-    if (wire == "json") {
-      server_config.wire = serve::ServerConfig::Wire::kJson;
-    } else if (wire == "binary") {
-      server_config.wire = serve::ServerConfig::Wire::kBinary;
-    } else if (wire == "auto") {
-      server_config.wire = serve::ServerConfig::Wire::kAuto;
-    } else {
-      std::fprintf(stderr,
-                   "--wire must be auto, json, or binary, got \"%s\"\n",
-                   wire.c_str());
-      return 2;
-    }
   }
 
   auto fleet_or = fleet::WorkerFleet::Spawn(fleet_options);
@@ -224,7 +161,8 @@ int RealMain(int argc, char** argv) {
   }
   std::fprintf(stderr, "\n");
 
-  fleet::TcpTransport transport(worker_fleet.endpoints(), worker_wire);
+  fleet::TcpTransport transport(worker_fleet.endpoints(),
+                                serve::WireClient::Wire::kJson);
   fleet::BrokerSession broker(broker_config, transport);
 
   if (flags.GetBool("pipe", false)) {

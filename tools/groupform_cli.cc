@@ -21,17 +21,15 @@
 //                       data/problem/--algorithm flags below, or passed
 //                       verbatim with --raw 'JSON'.
 //       --host H --port P   server address (default 127.0.0.1, GF_SERVE_PORT)
-//       --wire json|binary  wire to speak: newline-JSON (default, the
-//                           canonical/golden form) or GFB1 binary frames
-//                           with credit backpressure (docs/PROTOCOL.md)
+//                           spoken over newline-JSON, the canonical wire
 //       --batch N           send N copies as one groupform.batch/1
 //                           envelope; prints one response line per element
 //       --repeat N          send the request (or batch) N times over one
 //                           persistent connection — the multi-request
 //                           client-reuse path (default 1)
 //       --keep-alive        with --repeat: pipeline the repeats through
-//                           the credit/window machinery instead of
-//                           waiting out each round trip
+//                           the server's window instead of waiting out
+//                           each round trip
 //       --request-id ID     correlation id echoed by the server
 //       --deadline-ms N     per-request wall-clock budget (0 = none)
 //       --user-cap N        DNF cap on instance size (0 = unlimited)
@@ -338,7 +336,7 @@ common::StatusOr<serve::Request> BuildRequest(
 }
 
 /// Shared tail of the `request` and `delta` subcommands: print the line
-/// under --dump, otherwise send it — over the wire --wire selects, as a
+/// under --dump, otherwise send it — over newline-JSON, as a
 /// --batch-sized groupform.batch/1 envelope when asked, --repeat times
 /// over one persistent connection — and report the response(s), one line
 /// per element. Exit 0 when every response is OK/DNF (an expected
@@ -355,12 +353,6 @@ int DumpOrSendLine(const common::FlagParser& flags,
   if (repeat < 1 || repeat > 1000000) {
     std::fprintf(stderr, "--repeat must be in [1, 1000000], got %lld\n",
                  repeat);
-    return 2;
-  }
-  const std::string wire_name = flags.GetString("wire", "json");
-  if (wire_name != "json" && wire_name != "binary") {
-    std::fprintf(stderr, "--wire must be json or binary, got \"%s\"\n",
-                 wire_name.c_str());
     return 2;
   }
   if (flags.GetBool("dump", false)) {
@@ -382,10 +374,8 @@ int DumpOrSendLine(const common::FlagParser& flags,
   const std::string host = flags.GetString("host", "127.0.0.1");
   const int port = static_cast<int>(
       flags.GetInt("port", serve::ServerConfigFromEnv().port));
-  auto client = serve::WireClient::Connect(
-      host, port,
-      wire_name == "binary" ? serve::WireClient::Wire::kBinary
-                            : serve::WireClient::Wire::kJson);
+  auto client = serve::WireClient::Connect(host, port,
+                                          serve::WireClient::Wire::kJson);
   if (!client.ok()) {
     std::fprintf(stderr, "request: %s\n",
                  client.status().ToString().c_str());
@@ -594,8 +584,8 @@ void PrintHelp() {
       "            (--solvers A,B --json-dir DIR; `sweep` alone lists "
       "suites)\n"
       "            request             send one request to a running\n"
-      "            groupform_serverd (--host H --port P --wire json|binary\n"
-      "            --batch N --repeat N --keep-alive, docs/PROTOCOL.md)\n"
+      "            groupform_serverd (--host H --port P --batch N\n"
+      "            --repeat N --keep-alive, docs/PROTOCOL.md)\n"
       "            delta               send one groupform.delta/1 line\n"
       "            (--deltas add:U,remove:U,rerate:U:I:R plus request "
       "flags)\n"

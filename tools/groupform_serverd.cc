@@ -23,11 +23,8 @@
 // Flags (each falls back to its environment knob, then the default):
 //   --pipe              serve stdin→stdout instead of TCP
 //   --port N            TCP port, 0 = ephemeral     (GF_SERVE_PORT, 4017)
-//   --max-inflight N    pipelining window per stream (GF_SERVE_MAX_INFLIGHT, 4)
-//   --credits N         binary-wire credit window, 0 = follow
-//                       --max-inflight               (GF_SERVE_CREDITS, 0)
-//   --wire MODE         auto | json | binary: which wires connections
-//                       may negotiate                (GF_SERVE_WIRE, auto)
+//   --max-inflight N    pipelining window per stream, also the binary
+//                       wire's credit window  (GF_SERVE_MAX_INFLIGHT, 4)
 //   --cache-mb N        instance cache budget, 0 = unlimited
 //                                               (GF_SERVE_CACHE_MB, 256)
 //   --threads N         pool size (GF_THREADS, else hardware; 1 = serial)
@@ -35,11 +32,15 @@
 //   --port-file PATH    write the bound TCP port to PATH once listening
 //                       (how a supervisor learns an ephemeral port)
 //
+// A malformed or out-of-range numeric flag exits 2 and names the flag.
+//
 // SIGINT/SIGTERM stop the TCP listener; in-flight requests drain first.
 // Diagnostics go to stderr; stdout carries only protocol traffic.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "common/flags.h"
 #include "common/thread_pool.h"
@@ -81,11 +82,8 @@ int RealMain(int argc, char** argv) {
         "(groupform.request/1 and groupform.delta/1, docs/PROTOCOL.md)\n\n"
         "  --pipe            stdin/stdout mode (exit at EOF)\n"
         "  --port N          TCP port, 0 = ephemeral (GF_SERVE_PORT)\n"
-        "  --max-inflight N  pipelining window (GF_SERVE_MAX_INFLIGHT)\n"
-        "  --credits N       binary-wire credit window, 0 = follow\n"
-        "                    --max-inflight (GF_SERVE_CREDITS)\n"
-        "  --wire MODE       auto|json|binary wire negotiation "
-        "(GF_SERVE_WIRE)\n"
+        "  --max-inflight N  pipelining and credit window "
+        "(GF_SERVE_MAX_INFLIGHT)\n"
         "  --cache-mb N      cache budget, 0 = unlimited "
         "(GF_SERVE_CACHE_MB)\n"
         "  --threads N       pool size (GF_THREADS)\n"
@@ -93,71 +91,35 @@ int RealMain(int argc, char** argv) {
         "  --port-file PATH  write the bound TCP port to PATH\n");
     return 0;
   }
-  if (flags.Has("threads")) {
-    const auto threads = flags.GetIntOr("threads");
-    if (!threads.ok() || *threads < 1) {
-      std::fprintf(stderr, "--threads must be a positive integer\n");
+  // Numeric flags get the same bounds the GF_SERVE_* env path enforces;
+  // a malformed or out-of-range value is a startup error, not a silent
+  // fallback to the default.
+  serve::ServerConfig server_config = serve::ServerConfigFromEnv();
+  serve::SessionConfig session_config = serve::SessionConfigFromEnv();
+  const auto threads =
+      flags.GetIntInRange("threads", 0, 1, std::numeric_limits<int>::max());
+  const auto port =
+      flags.GetIntInRange("port", server_config.port, 0, 65535);
+  const auto max_inflight = flags.GetIntInRange(
+      "max-inflight", server_config.max_inflight, 1, 1 << 20);
+  const auto cache_mb = flags.GetIntInRange(
+      "cache-mb", session_config.cache_bytes / (1024 * 1024), 0, 1ll << 40);
+  const auto user_cap = flags.GetIntInRange(
+      "user-cap", 0, 0, std::numeric_limits<std::int64_t>::max());
+  for (const auto* value :
+       {&threads, &port, &max_inflight, &cache_mb, &user_cap}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->status().message().c_str());
       return 2;
     }
+  }
+  if (*threads > 0) {
     common::ThreadPool::SetDefaultThreadCount(static_cast<int>(*threads));
   }
-
-  // Flag values get the same bounds the GF_SERVE_* env path enforces —
-  // an out-of-range flag is a startup error, not a silent wrap.
-  serve::ServerConfig server_config = serve::ServerConfigFromEnv();
-  const long long port = flags.GetInt("port", server_config.port);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port must be in [0, 65535], got %lld\n", port);
-    return 2;
-  }
-  server_config.port = static_cast<int>(port);
-  const long long max_inflight =
-      flags.GetInt("max-inflight", server_config.max_inflight);
-  if (max_inflight < 1 || max_inflight > (1 << 20)) {
-    std::fprintf(stderr, "--max-inflight must be in [1, %d], got %lld\n",
-                 1 << 20, max_inflight);
-    return 2;
-  }
-  server_config.max_inflight = static_cast<int>(max_inflight);
-  const long long credit_window =
-      flags.GetInt("credits", server_config.credit_window);
-  if (credit_window < 0 || credit_window > (1 << 20)) {
-    std::fprintf(stderr, "--credits must be in [0, %d], got %lld\n",
-                 1 << 20, credit_window);
-    return 2;
-  }
-  server_config.credit_window = static_cast<int>(credit_window);
-  if (flags.Has("wire")) {
-    const std::string wire = flags.GetString("wire", "auto");
-    if (wire == "json") {
-      server_config.wire = serve::ServerConfig::Wire::kJson;
-    } else if (wire == "binary") {
-      server_config.wire = serve::ServerConfig::Wire::kBinary;
-    } else if (wire == "auto") {
-      server_config.wire = serve::ServerConfig::Wire::kAuto;
-    } else {
-      std::fprintf(stderr,
-                   "--wire must be auto, json, or binary, got \"%s\"\n",
-                   wire.c_str());
-      return 2;
-    }
-  }
-  serve::SessionConfig session_config = serve::SessionConfigFromEnv();
-  if (flags.Has("cache-mb")) {
-    const long long mb = flags.GetInt("cache-mb", 256);
-    if (mb < 0 || mb > (1ll << 40)) {
-      std::fprintf(stderr, "--cache-mb must be in [0, 2^40], got %lld\n",
-                   mb);
-      return 2;
-    }
-    session_config.cache_bytes = mb <= 0 ? 0 : mb * 1024 * 1024;
-  }
-  const long long user_cap = flags.GetInt("user-cap", 0);
-  if (user_cap < 0) {
-    std::fprintf(stderr, "--user-cap must be >= 0, got %lld\n", user_cap);
-    return 2;
-  }
-  session_config.default_user_cap = user_cap;
+  server_config.port = static_cast<int>(*port);
+  server_config.max_inflight = static_cast<int>(*max_inflight);
+  session_config.cache_bytes = *cache_mb * 1024 * 1024;
+  session_config.default_user_cap = *user_cap;
 
   serve::Session session(session_config);
 
@@ -192,20 +154,10 @@ int RealMain(int argc, char** argv) {
     std::fprintf(f, "%d\n", server.port());
     std::fclose(f);
   }
-  const char* wire_name =
-      server_config.wire == serve::ServerConfig::Wire::kJson ? "json"
-      : server_config.wire == serve::ServerConfig::Wire::kBinary
-          ? "binary"
-          : "auto";
   std::fprintf(stderr,
                "groupform_serverd: listening on 127.0.0.1:%d "
-               "(max_inflight=%d, credits=%d, wire=%s, cache_mb=%lld, "
-               "threads=%d)\n",
+               "(max_inflight=%d, cache_mb=%lld, threads=%d)\n",
                server.port(), server_config.max_inflight,
-               server_config.credit_window > 0
-                   ? server_config.credit_window
-                   : server_config.max_inflight,
-               wire_name,
                static_cast<long long>(session_config.cache_bytes) /
                    (1024 * 1024),
                common::ThreadPool::DefaultThreadCount());
