@@ -142,10 +142,12 @@ struct Worker {
 FleetRow RunRow(int num_workers, serve::WireClient::Wire wire, bool batch,
                 int total_requests, const std::vector<std::string>& lines) {
   // Broker and workers share one process here, so they share the global
-  // ThreadPool — which a real deployment never does. Each in-flight
-  // broker request occupies a pool job that *blocks* on a worker RPC, so
-  // the pool must outsize the client count or the workers' own solve
-  // jobs starve behind the brokers' waits and the fleet deadlocks.
+  // ThreadPool — which a real deployment never does. A pool of n threads
+  // runs n jobs at once, and each in-flight broker request occupies one
+  // that *blocks* on a worker RPC, so the pool must outsize the client
+  // count or the workers' own solve jobs starve behind the brokers' waits
+  // and the fleet deadlocks: kClientThreads broker jobs leave 4 for
+  // solves.
   common::ThreadPool::SetDefaultThreadCount(kClientThreads + 4);
   std::vector<std::unique_ptr<Worker>> workers;
   std::vector<fleet::Endpoint> endpoints;

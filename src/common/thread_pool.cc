@@ -46,8 +46,11 @@ struct ThreadPool::Job {
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads < 1 ? 1 : num_threads) {
-  workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-  for (int i = 0; i < num_threads_ - 1; ++i) {
+  // One thread is the serial path and needs no workers; otherwise every
+  // thread of compute is a worker, so n Submit jobs run at once.
+  const int workers = num_threads_ == 1 ? 0 : num_threads_;
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -182,7 +185,6 @@ void ThreadPool::ParallelFor(std::int64_t n, std::int64_t grain,
     ++job_seq_;
   }
   work_cv_.notify_all();
-  RunShard(*job);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -26,19 +26,22 @@ namespace groupform::common {
 ///
 /// A pool of one thread (or a nested ParallelFor issued from inside a worker)
 /// degenerates to a plain serial loop on the calling thread — "threads = 1"
-/// is exactly the pre-pool code path.
+/// is exactly the pre-pool code path. Otherwise every thread of compute is a
+/// worker: a top-level ParallelFor caller publishes its loop and waits, and
+/// Submit jobs (the serving front-end's requests) run n at a time.
 class ThreadPool {
  public:
-  /// Spawns `num_threads - 1` workers (the caller participates in every
-  /// ParallelFor, so n threads of compute need n - 1 workers). Values < 1
-  /// are clamped to 1.
+  /// Spawns `num_threads` workers, or none for one thread (the serial
+  /// path). A ParallelFor caller runs no indices itself, so compute stays
+  /// at n threads for a bulk loop and for n concurrent Submit jobs alike.
+  /// Values < 1 are clamped to 1.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Degree of parallelism (callers + workers), >= 1.
+  /// Degree of parallelism (the worker count, or 1 for the serial pool).
   int num_threads() const { return num_threads_; }
 
   /// Runs body(i) for every i in [0, n), blocking until all complete.
@@ -54,6 +57,11 @@ class ThreadPool {
   /// loop serially on the calling thread (no deadlock, same results).
   /// Distinct external threads may call concurrently; their loops are
   /// serialized one job at a time.
+  ///
+  /// Busy pool: the caller blocks until workers run the body, so a
+  /// top-level ParallelFor issued while every worker is busy on a Submit
+  /// job waits for a free worker (nothing in the library does this: a
+  /// serving job's nested loops run serially inside it).
   void ParallelFor(std::int64_t n,
                    const std::function<void(std::int64_t)>& body);
 
@@ -77,9 +85,9 @@ class ThreadPool {
   /// Enqueues one independent job — the serving front-end's unit of work —
   /// and returns immediately; the future resolves when the job has run (it
   /// rethrows anything the job threw). Jobs run FIFO on the pool's workers,
-  /// interleaved with ParallelFor shards; a ParallelFor issued while jobs
-  /// are queued simply finds fewer idle workers and contributes more from
-  /// the calling thread.
+  /// interleaved with ParallelFor shards, n jobs at once on an n-thread
+  /// pool; a ParallelFor issued while jobs are running finds fewer idle
+  /// workers and completes on those.
   ///
   /// Serial degeneration, mirroring ParallelFor: a pool of one thread has
   /// no workers, so Submit runs the job inline on the calling thread before

@@ -23,7 +23,9 @@
 // Either way, each request (or whole batch) becomes one queued job on
 // common::ThreadPool::Shared() (Submit): the solve runs serially inside
 // its job — the determinism reference path — and throughput comes from
-// many jobs in flight at once, bounded per stream by the window.
+// many jobs in flight at once: a pool of n threads (`--threads n`) solves
+// n requests at once, across all connections, and each stream keeps at
+// most its window in flight.
 
 #include <atomic>
 #include <condition_variable>

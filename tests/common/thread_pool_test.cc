@@ -1,14 +1,19 @@
 // ThreadPool: every index runs exactly once, results are identical at
-// every thread count, exceptions propagate, and nested loops do not
-// deadlock.
+// every thread count, exceptions propagate, nested loops do not
+// deadlock, and a pool of n threads runs n Submit jobs at once.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace groupform::common {
@@ -22,6 +27,29 @@ double WorkItem(std::int64_t i) {
   }
   return x;
 }
+
+/// A meeting point for `parties` threads. Arrive() blocks until all of
+/// them have arrived or the deadline passes, and reports which happened,
+/// so a pool that cannot run the parties at once fails instead of hanging.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+
+  bool Arrive(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ >= parties_) all_arrived_.notify_all();
+    return all_arrived_.wait_for(lock, timeout,
+                                 [&] { return arrived_ >= parties_; });
+  }
+
+ private:
+  const int parties_;
+  std::mutex mu_;
+  std::condition_variable all_arrived_;
+  int arrived_ = 0;
+};
+
+constexpr std::chrono::milliseconds kRendezvousTimeout{10000};
 
 std::vector<double> RunAtThreadCount(int threads, std::int64_t n) {
   ThreadPool pool(threads);
@@ -175,6 +203,39 @@ TEST(ThreadPool, ExceptionPropagatesFromWorkerBody) {
   EXPECT_EQ(ran.load(), 10);
 }
 
+TEST(ThreadPool, ParallelForCallerWaitsWhileTheWorkersRunTheBody) {
+  // Every thread of compute is a worker: both indices of a two-thread
+  // loop must run at once, and neither on the calling thread.
+  ThreadPool pool(2);
+  Rendezvous both(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> met{0};
+  std::atomic<int> on_caller{0};
+  pool.ParallelFor(2, [&](std::int64_t) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    if (both.Arrive(kRendezvousTimeout)) met.fetch_add(1);
+  });
+  EXPECT_EQ(met.load(), 2);
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(ThreadPool, ExceptionFromAWorkerOnlyLoopIsRethrownOnTheCaller) {
+  // The caller runs no shards, so every throw happens on a worker and
+  // must still reach the caller, once the loop has drained.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  const auto throwing_loop = [&] {
+    pool.ParallelFor(64, [&](std::int64_t i) {
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      throw std::runtime_error(
+          "index " + std::to_string(i) + " failed on a worker");
+    });
+  };
+  EXPECT_THROW(throwing_loop(), std::runtime_error);
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
 TEST(ThreadPool, ExceptionPropagatesOnSerialPathToo) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.ParallelFor(
@@ -226,6 +287,24 @@ TEST(ThreadPool, SubmitOnOneThreadRunsInlineBeforeReturning) {
   future.get();
 }
 
+TEST(ThreadPool, TwoThreadPoolRunsTwoSubmitJobsAtOnce) {
+  // The serving shape: `--threads 2` must solve two requests at once.
+  // Each job waits for the other; a pool with one job worker runs them
+  // in turn, so the first times out alone.
+  ThreadPool pool(2);
+  Rendezvous both(2);
+  std::atomic<int> met{0};
+  auto first = pool.Submit([&] {
+    if (both.Arrive(kRendezvousTimeout)) met.fetch_add(1);
+  });
+  auto second = pool.Submit([&] {
+    if (both.Arrive(kRendezvousTimeout)) met.fetch_add(1);
+  });
+  first.get();
+  second.get();
+  EXPECT_EQ(met.load(), 2);
+}
+
 TEST(ThreadPool, SubmitExceptionArrivesThroughTheFuture) {
   ThreadPool pool(4);
   auto future = pool.Submit([] { throw std::runtime_error("job boom"); });
@@ -241,13 +320,22 @@ TEST(ThreadPool, SubmitExceptionArrivesThroughTheFuture) {
 }
 
 TEST(ThreadPool, SubmitFromInsideAJobRunsInlineWithoutDeadlock) {
-  ThreadPool pool(2);  // one worker: a blocking nested Submit would hang
+  ThreadPool pool(2);
   int inner_ran = 0;
+  std::thread::id outer_thread;
+  std::thread::id inner_thread;
   auto future = pool.Submit([&] {
-    pool.Submit([&] { ++inner_ran; }).get();
+    outer_thread = std::this_thread::get_id();
+    // Queued rather than inline, this would block a worker on its own
+    // pool: with every worker doing the same, the pool would hang.
+    pool.Submit([&] {
+      inner_thread = std::this_thread::get_id();
+      ++inner_ran;
+    }).get();
   });
   future.get();
   EXPECT_EQ(inner_ran, 1);
+  EXPECT_EQ(inner_thread, outer_thread);
 }
 
 TEST(ThreadPool, ParallelForInsideAJobDegradesToSerial) {

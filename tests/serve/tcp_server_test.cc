@@ -2,7 +2,8 @@
 // waits must receive its response while the connection stays open (the
 // writer thread streams retired responses; nothing waits for EOF), an
 // ephemeral port binds and reports itself, and Shutdown() unblocks
-// Serve() with connections drained.
+// Serve() with connections drained, and a two-thread server answers two
+// connections' requests at once.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -10,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -69,6 +73,29 @@ std::string SmallRequest(const std::string& id) {
   request.problem.groups = 3;
   return RenderRequest(request);
 }
+
+/// Answers a line only once `parties` calls are inside HandleLine at the
+/// same time, or after a deadline; the response says which happened, so
+/// a server that handles one request at a time fails instead of hanging.
+class RendezvousHandler : public LineHandler {
+ public:
+  explicit RendezvousHandler(int parties) : parties_(parties) {}
+
+  std::string HandleLine(const std::string& line,
+                         std::chrono::steady_clock::time_point) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++inside_ >= parties_) all_inside_.notify_all();
+    const bool met = all_inside_.wait_for(
+        lock, std::chrono::seconds(10), [&] { return inside_ >= parties_; });
+    return line + (met ? " met" : " alone");
+  }
+
+ private:
+  const int parties_;
+  std::mutex mu_;
+  std::condition_variable all_inside_;
+  int inside_ = 0;
+};
 
 class TcpServerTest : public ::testing::Test {
  protected:
@@ -131,6 +158,30 @@ TEST_F(TcpServerTest, SendRequestLinesRoundTripsABatch) {
     // Responses arrive in request order.
     EXPECT_EQ(response->id, common::StrFormat("b%d", i));
   }
+
+  server.Shutdown();
+  serving.join();
+}
+
+TEST_F(TcpServerTest, TwoThreadServerHandlesTwoConnectionsAtOnce) {
+  // `--threads 2` solves two requests at once: each connection's line is
+  // held in HandleLine until the other one arrives there too.
+  common::ThreadPool::SetDefaultThreadCount(2);
+  RendezvousHandler handler(2);
+  ServerConfig config;
+  config.port = 0;
+  TcpServer server(handler, config);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { EXPECT_TRUE(server.Serve().ok()); });
+
+  const int first = ConnectLoopback(server.port());
+  const int second = ConnectLoopback(server.port());
+  SendLine(first, "first");
+  SendLine(second, "second");
+  EXPECT_EQ(ReadLine(first), "first met");
+  EXPECT_EQ(ReadLine(second), "second met");
+  ::close(first);
+  ::close(second);
 
   server.Shutdown();
   serving.join();

@@ -22,7 +22,8 @@
 //   --workers N         worker processes to spawn           (default 2)
 //   --mode M            affinity, the only routing mode     (affinity)
 //   --serverd PATH      worker binary (default: sibling groupform_serverd)
-//   --worker-threads N  per-worker thread pool size (0 = worker default)
+//   --worker-threads N  requests each worker solves at once
+//                       (0 = worker default)
 //   --worker-cache-mb N per-worker instance cache budget, -1 = the
 //                       worker default, else as serverd --cache-mb (-1)
 //   --retries N         per-request re-attempts after a failed worker
@@ -33,7 +34,7 @@
 //   --port-file PATH    write the bound TCP port to PATH
 //   --max-inflight N    pipelining and credit window
 //                                            (GF_SERVE_MAX_INFLIGHT)
-//   --threads N         broker pool size (GF_THREADS)
+//   --threads N         requests the broker forwards at once (GF_THREADS)
 //
 // A malformed or out-of-range numeric flag exits 2 and names the flag.
 //
@@ -75,7 +76,8 @@ int RealMain(int argc, char** argv) {
         "  --workers N         worker processes (default 2)\n"
         "  --mode M            affinity (the only routing mode)\n"
         "  --serverd PATH      worker binary (default: sibling)\n"
-        "  --worker-threads N  per-worker pool size (0 = worker default)\n"
+        "  --worker-threads N  requests each worker solves at once "
+        "(0 = worker default)\n"
         "  --worker-cache-mb N per-worker cache budget (-1 = default)\n"
         "  --retries N         re-attempts per failed worker call (1)\n"
         "  --backoff-ms N      pause before each re-attempt (50)\n"
@@ -84,7 +86,7 @@ int RealMain(int argc, char** argv) {
         "  --port-file PATH    write the bound TCP port to PATH\n"
         "  --max-inflight N    pipelining and credit window "
         "(GF_SERVE_MAX_INFLIGHT)\n"
-        "  --threads N         broker pool size (GF_THREADS)\n");
+        "  --threads N         requests forwarded at once (GF_THREADS)\n");
     return 0;
   }
   // A malformed or out-of-range numeric flag is a startup error, not a

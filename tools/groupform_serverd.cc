@@ -27,7 +27,8 @@
 //                       wire's credit window  (GF_SERVE_MAX_INFLIGHT, 4)
 //   --cache-mb N        instance cache budget, 0 = unlimited
 //                                               (GF_SERVE_CACHE_MB, 256)
-//   --threads N         pool size (GF_THREADS, else hardware; 1 = serial)
+//   --threads N         requests solved at once (GF_THREADS, else
+//                       hardware; 1 = serial)
 //   --user-cap N        server-wide DNF cap for requests that set none
 //   --port-file PATH    write the bound TCP port to PATH once listening
 //                       (how a supervisor learns an ephemeral port)
@@ -86,7 +87,7 @@ int RealMain(int argc, char** argv) {
         "(GF_SERVE_MAX_INFLIGHT)\n"
         "  --cache-mb N      cache budget, 0 = unlimited "
         "(GF_SERVE_CACHE_MB)\n"
-        "  --threads N       pool size (GF_THREADS)\n"
+        "  --threads N       requests solved at once (GF_THREADS)\n"
         "  --user-cap N      default DNF cap for requests that set none\n"
         "  --port-file PATH  write the bound TCP port to PATH\n");
     return 0;
