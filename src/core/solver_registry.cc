@@ -150,11 +150,17 @@ common::StatusOr<std::unique_ptr<FormationSolver>> SolverRegistry::Create(
     const auto it = entries_.find(name);
     if (it != entries_.end()) factory = it->second.factory;
   }
-  if (factory == nullptr) {
-    return common::Status::NotFound("no solver named '" + name +
-                                    "' (available: " + NamesJoined() + ")");
-  }
+  if (factory == nullptr) return UnknownName(name);
   return factory(problem, options);
+}
+
+common::Status SolverRegistry::CheckRegistered(const std::string& name) const {
+  return Contains(name) ? common::Status::Ok() : UnknownName(name);
+}
+
+common::Status SolverRegistry::UnknownName(const std::string& name) const {
+  return common::Status::NotFound("no solver named '" + name +
+                                  "' (available: " + NamesJoined() + ")");
 }
 
 }  // namespace groupform::core

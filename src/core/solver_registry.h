@@ -48,6 +48,11 @@ class SolverRegistry {
 
   bool Contains(const std::string& name) const;
 
+  /// OK when `name` is registered, otherwise Create's NOT_FOUND (listing
+  /// the available names). Lets a caller reject an unknown name before it
+  /// builds the problem Create needs.
+  common::Status CheckRegistered(const std::string& name) const;
+
   /// All registered names, sorted — the CLI derives its --algorithm
   /// choices and --help text from this.
   std::vector<std::string> Names() const;
@@ -65,6 +70,8 @@ class SolverRegistry {
       const SolverOptions& options = SolverOptions()) const;
 
  private:
+  common::Status UnknownName(const std::string& name) const;
+
   struct Entry {
     std::string description;
     Factory factory;

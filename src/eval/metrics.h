@@ -30,6 +30,29 @@ double MeanPerUserSatisfaction(const core::FormationProblem& problem,
 double FullySatisfiedFraction(const core::FormationProblem& problem,
                               const core::FormationResult& result);
 
+/// The four §7.1.2 metrics every OK serve response carries.
+struct ResponseMetrics {
+  double avg_group_satisfaction = 0.0;
+  double mean_user_rating = 0.0;
+  double mean_user_ndcg = 0.0;
+  double fully_satisfied = 0.0;
+};
+
+/// All four response metrics in one pass, bit-identical to
+/// AvgGroupSatisfaction, MeanPerUserSatisfaction, MeanUserNdcg
+/// (eval/weighted_objective.h) and FullySatisfiedFraction, which stay as
+/// its test oracle. Each member's row is visited once. A bounded top-k in
+/// the library tie order gives the personal top-k set and the ideal DCG,
+/// and an item-to-slot table over the group's list gives the member's
+/// ratings of the recommended items. Group lists are still re-scored with
+/// core::ComputeGroupList, because a solver's returned list need not score
+/// like the recomputed one (greedy under Min aggregation, exact solvers
+/// with a candidate depth). The top-k insertion costs O(min(k, d)) per
+/// entry it admits, so a member row of d ratings costs O(d) when the row
+/// is in random rating order and O(d · min(k, d)) at worst.
+ResponseMetrics ComputeResponseMetrics(const core::FormationProblem& problem,
+                                       const core::FormationResult& result);
+
 }  // namespace groupform::eval
 
 #endif  // GROUPFORM_EVAL_METRICS_H_

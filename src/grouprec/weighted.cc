@@ -1,21 +1,11 @@
 #include "grouprec/weighted.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
 
 namespace groupform::grouprec {
-namespace {
-
-double GainOf(double relevance) { return std::exp2(relevance) - 1.0; }
-
-double DiscountOf(int pos) {
-  return 1.0 / std::log2(static_cast<double>(pos) + 2.0);
-}
-
-}  // namespace
 
 double PositionWeight(PositionWeighting scheme, int pos) {
   GF_DCHECK(pos >= 0);
@@ -25,7 +15,7 @@ double PositionWeight(PositionWeighting scheme, int pos) {
     case PositionWeighting::kInversePosition:
       return 1.0 / (static_cast<double>(pos) + 1.0);
     case PositionWeighting::kLogInverse:
-      return DiscountOf(pos);
+      return NdcgDiscount(pos);
   }
   return 1.0;
 }
@@ -66,7 +56,7 @@ double UserNdcg(const data::RatingStore& store, UserId user,
     if (pos >= k) break;
     const double rel = relevance(item);
     if (rel == kMissingRating) continue;  // kSkipUser: position not counted
-    dcg += GainOf(rel) * DiscountOf(pos);
+    dcg += NdcgGain(rel) * NdcgDiscount(pos);
     ++pos;
   }
 
@@ -79,7 +69,7 @@ double UserNdcg(const data::RatingStore& store, UserId user,
   std::sort(ratings.begin(), ratings.end(), std::greater<>());
   double idcg = 0.0;
   for (int j = 0; j < k && j < static_cast<int>(ratings.size()); ++j) {
-    idcg += GainOf(ratings[static_cast<std::size_t>(j)]) * DiscountOf(j);
+    idcg += NdcgGain(ratings[static_cast<std::size_t>(j)]) * NdcgDiscount(j);
   }
   if (idcg <= 0.0) return 0.0;
   return dcg / idcg;

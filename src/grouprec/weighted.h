@@ -1,6 +1,7 @@
 #ifndef GROUPFORM_GROUPREC_WEIGHTED_H_
 #define GROUPFORM_GROUPREC_WEIGHTED_H_
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -27,6 +28,16 @@ double PositionWeight(PositionWeighting scheme, int pos);
 /// sum_j w_j * sc(g, i^j). With kUniform this equals Sum aggregation.
 double WeightedSumSatisfaction(const GroupTopK& list,
                                PositionWeighting scheme);
+
+/// The NDCG gain of a graded relevance: 2^rel - 1.
+inline double NdcgGain(double relevance) {
+  return std::exp2(relevance) - 1.0;
+}
+
+/// The NDCG discount of 0-based list position `pos`: 1 / log2(pos + 2).
+inline double NdcgDiscount(int pos) {
+  return 1.0 / std::log2(static_cast<double>(pos) + 2.0);
+}
 
 /// NDCG-based per-user satisfaction (§6, "Weights at the user level").
 /// Gains use the graded-relevance form (2^rel - 1); positions are

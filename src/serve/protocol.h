@@ -54,6 +54,7 @@
 #include "core/constraint_spec.h"
 #include "core/delta.h"
 #include "core/solver.h"
+#include "eval/metrics.h"
 #include "eval/sweep.h"
 
 namespace groupform::serve {
@@ -179,13 +180,9 @@ common::StatusOr<Request> ParseRequestLine(const std::string& line);
 /// exact inverse.
 std::string RenderRequest(const Request& request);
 
-/// The evaluation metrics reported with every OK response (eval/metrics.h).
-struct ResponseMetrics {
-  double avg_group_satisfaction = 0.0;
-  double mean_user_rating = 0.0;
-  double mean_user_ndcg = 0.0;
-  double fully_satisfied = 0.0;
-};
+/// The evaluation metrics reported with every OK response, computed by
+/// eval::ComputeResponseMetrics.
+using ResponseMetrics = eval::ResponseMetrics;
 
 /// One `groupform.response/1`. The state vocabulary is the sweep engine's
 /// (eval::SweepCellState): OK, DNF (expected omission — deadline, cap, or

@@ -15,7 +15,6 @@
 #include "core/formation.h"
 #include "core/solver_registry.h"
 #include "eval/metrics.h"
-#include "eval/weighted_objective.h"
 #include "grouprec/semantics.h"
 
 namespace groupform::serve {
@@ -80,13 +79,7 @@ void FillOkResponse(Response& response, const Request& request,
   response.solver = request.solver;
   response.objective = result.objective;
   response.num_groups = result.num_groups();
-  response.metrics.avg_group_satisfaction =
-      eval::AvgGroupSatisfaction(problem, result);
-  response.metrics.mean_user_rating =
-      eval::MeanPerUserSatisfaction(problem, result);
-  response.metrics.mean_user_ndcg = eval::MeanUserNdcg(problem, result);
-  response.metrics.fully_satisfied =
-      eval::FullySatisfiedFraction(problem, result);
+  response.metrics = eval::ComputeResponseMetrics(problem, result);
   if (request.include_groups) {
     response.has_groups = true;
     response.groups.reserve(result.groups.size());
@@ -97,6 +90,19 @@ void FillOkResponse(Response& response, const Request& request,
   if (request.record_seconds) response.seconds = seconds;
   response.partial = result.partial;
   response.floor_violations = result.floor_violations;
+}
+
+/// ERR(NOT_FOUND) when the registry has no solver of that name. Every
+/// entry point asks before it loads the instance: loading first would
+/// allocate whatever dimensions the client declared.
+std::optional<Response> UnknownSolverResponse(const Request& request) {
+  Status known =
+      core::SolverRegistry::Global().CheckRegistered(request.solver);
+  if (known.ok()) return std::nullopt;
+  Response response;
+  response.id = request.id;
+  return FailWith(std::move(response), eval::SweepCellState::kErr,
+                  std::move(known));
 }
 
 /// "anytime:"-prefixed solvers own their deadline (DESIGN.md §17.4):
@@ -169,6 +175,7 @@ Session::Session(SessionConfig config)
 Response Session::Execute(
     const Request& request,
     std::chrono::steady_clock::time_point received_at) {
+  if (auto unknown = UnknownSolverResponse(request)) return *unknown;
   auto loaded_or = cache_.Get(request.instance);
   if (!loaded_or.ok()) {
     Response response;
@@ -287,6 +294,7 @@ Response Session::ExecuteLoaded(
 Response Session::ExecuteDelta(
     const Request& request,
     std::chrono::steady_clock::time_point received_at) {
+  if (auto unknown = UnknownSolverResponse(request)) return *unknown;
   Response response;
   response.id = request.id;
   response.is_delta = true;
@@ -509,6 +517,10 @@ BatchResponse Session::ExecuteBatch(
   for (const Request& request : batch.requests) {
     if (request.is_delta) {
       out.responses.push_back(ExecuteDelta(request, received_at));
+      continue;
+    }
+    if (auto unknown = UnknownSolverResponse(request)) {
+      out.responses.push_back(*std::move(unknown));
       continue;
     }
     const std::string key = request.instance.CanonicalKey();

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/delta.h"
+#include "core/solver_registry.h"
 #include "eval/experiment.h"
 #include "serve/instance_cache.h"
 #include "serve/protocol.h"
@@ -77,6 +79,40 @@ TEST_F(SessionTest, UnknownSolverIsErrNotFound) {
   EXPECT_EQ(response.status.code(), common::StatusCode::kNotFound);
   // The message lists the available solvers, as the CLI does.
   EXPECT_NE(response.status.message().find("greedy"), std::string::npos);
+}
+
+TEST_F(SessionTest, UnknownSolverAnswersBeforeTheInstanceLoads) {
+  // The name check runs before the cache resolves anything, so a client
+  // cannot make an unknown solver allocate the instance it declares. Every
+  // entry point answers with the registry's own NOT_FOUND text.
+  Session session;
+  const std::string expected =
+      core::SolverRegistry::Global().CheckRegistered("warpdrive").message();
+  const Request fresh = TestRequest("warpdrive");
+  Request delta = TestRequest("warpdrive");
+  delta.is_delta = true;
+  core::PopulationDelta remove;
+  remove.kind = core::PopulationDelta::Kind::kRemoveUser;
+  remove.user = 0;
+  delta.deltas.push_back(remove);
+  BatchRequest batch;
+  batch.id = "b";
+  batch.requests = {fresh, delta};
+
+  std::vector<Response> responses = {session.Execute(fresh),
+                                     session.ExecuteDelta(delta)};
+  for (Response& response : session.ExecuteBatch(batch).responses) {
+    responses.push_back(std::move(response));
+  }
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.state, eval::SweepCellState::kErr);
+    EXPECT_EQ(response.status.code(), common::StatusCode::kNotFound);
+    EXPECT_EQ(response.status.message(), expected);
+    EXPECT_EQ(response.id, "t");
+  }
+  const auto stats = session.cache().stats();
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.hits, 0);
 }
 
 TEST_F(SessionTest, BadSolverOptionIsErrInvalidArgument) {

@@ -104,7 +104,6 @@
 #include "eval/metrics.h"
 #include "eval/paper_sweeps.h"
 #include "eval/sweep.h"
-#include "eval/weighted_objective.h"
 #include "exact/ip_model.h"
 #include "grouprec/semantics.h"
 #include "serve/client.h"
@@ -691,14 +690,15 @@ int RealMain(int argc, char** argv) {
   const auto sizes = eval::GroupSizeSummary(*result);
   std::printf("  group sizes:            min=%.0f median=%.0f max=%.0f\n",
               sizes.min, sizes.median, sizes.max);
+  const eval::ResponseMetrics metrics =
+      eval::ComputeResponseMetrics(*problem, *result);
   std::printf("  avg group satisfaction: %.3f\n",
-              eval::AvgGroupSatisfaction(*problem, *result));
-  std::printf("  mean user rating:       %.3f\n",
-              eval::MeanPerUserSatisfaction(*problem, *result));
+              metrics.avg_group_satisfaction);
+  std::printf("  mean user rating:       %.3f\n", metrics.mean_user_rating);
   std::printf("  mean user NDCG@%d:       %.3f\n", problem->k,
-              eval::MeanUserNdcg(*problem, *result));
+              metrics.mean_user_ndcg);
   std::printf("  fully satisfied users:  %.1f%%\n",
-              100.0 * eval::FullySatisfiedFraction(*problem, *result));
+              100.0 * metrics.fully_satisfied);
   std::printf("  wall clock:             %.3f s\n", seconds);
 
   if (flags.Has("output")) {
