@@ -45,6 +45,18 @@ Request TestRequest(const std::string& solver) {
   return request;
 }
 
+/// TestRequest as a `groupform.delta/1` request: user 0 leaves, so the
+/// epoch solved has 11 users.
+Request DeltaTestRequest(const std::string& solver) {
+  Request request = TestRequest(solver);
+  request.is_delta = true;
+  core::PopulationDelta remove;
+  remove.kind = core::PopulationDelta::Kind::kRemoveUser;
+  remove.user = 0;
+  request.deltas.push_back(remove);
+  return request;
+}
+
 class SessionTest : public ::testing::Test {
  protected:
   void SetUp() override { solvers::EnsureBuiltinSolversRegistered(); }
@@ -254,6 +266,79 @@ TEST_F(SessionTest, ProblemKnobsReachTheSolver) {
   ASSERT_EQ(lm.state, eval::SweepCellState::kOk) << lm.status;
   // Different semantics/aggregation/k must not produce the same envelope.
   EXPECT_NE(RenderResponse(av), RenderResponse(lm));
+}
+
+// The delta path's non-OK outcomes, pinned as whole rendered lines so
+// the message text the wire carries cannot drift.
+
+TEST_F(SessionTest, DeltaUserCapCountsTheEpoch) {
+  Session session;
+  Request request = DeltaTestRequest("greedy");
+  request.user_cap = 5;
+  EXPECT_EQ(session.HandleLine(RenderRequest(request)),
+            R"({"schema":"groupform.response/1",)"
+            R"("id":"t","state":"DNF","code":"RESOURCE_EXHAUSTED",)"
+            R"("message":"epoch has 11 users, over the user_cap of 5"})");
+}
+
+TEST_F(SessionTest, DeltaExpiredDeadlineAnswersDnfBeforeExecuting) {
+  Session session;
+  Request request = DeltaTestRequest("greedy");
+  request.deadline_ms = 1;
+  const auto long_ago =
+      std::chrono::steady_clock::now() - std::chrono::seconds(10);
+  EXPECT_EQ(session.HandleLine(RenderRequest(request), long_ago),
+            R"({"schema":"groupform.response/1",)"
+            R"("id":"t","state":"DNF","code":"RESOURCE_EXHAUSTED",)"
+            R"("message":"deadline_ms expired before execution started"})");
+}
+
+TEST_F(SessionTest, DeltaBadSolverOptionIsErrInvalidArgument) {
+  // anytime:localsearch takes the cold route, which hands the client's
+  // options to the factory's strict deadline_ms parse.
+  Session session;
+  Request request = DeltaTestRequest("anytime:localsearch");
+  request.options.Set("deadline_ms", "zebra");
+  EXPECT_EQ(session.HandleLine(RenderRequest(request)),
+            R"({"schema":"groupform.response/1",)"
+            R"("id":"t","state":"ERR","code":"INVALID_ARGUMENT",)"
+            R"("message":"solver option 'deadline_ms' must be an integer, )"
+            R"(got 'zebra'"})");
+}
+
+TEST_F(SessionTest, DeltaSolverBudgetRefusalIsDnf) {
+  // The solver's own RESOURCE_EXHAUSTED is the paper's omitted run.
+  Session session;
+  Request request = DeltaTestRequest("exact");
+  request.options.Set("max_users", "4");
+  EXPECT_EQ(session.HandleLine(RenderRequest(request)),
+            R"({"schema":"groupform.response/1",)"
+            R"("id":"t","state":"DNF","code":"RESOURCE_EXHAUSTED",)"
+            R"("message":"SubsetDpSolver handles at most 4 users, got 11 )"
+            R"json((use LocalSearchSolver for larger instances)"})json");
+}
+
+TEST_F(SessionTest, BatchElementWithAMissingFileAnswersErrAndTheRestRun) {
+  Session session;
+  Request missing = TestRequest("greedy");
+  missing.id = "gone";
+  missing.instance = InstanceSpec();
+  missing.instance.kind = "csv";
+  missing.instance.path = "no_such_ratings_file.csv";
+  Request after = TestRequest("greedy");
+  after.id = "after";
+  BatchRequest batch;
+  batch.id = "b";
+  batch.requests = {missing, after};
+  const BatchResponse answered = session.ExecuteBatch(batch);
+  ASSERT_EQ(answered.responses.size(), 2u);
+  EXPECT_EQ(RenderResponse(answered.responses[0]),
+            R"({"schema":"groupform.response/1",)"
+            R"("id":"gone","state":"ERR","code":"NOT_FOUND",)"
+            R"("message":"cannot open file: no_such_ratings_file.csv"})");
+  EXPECT_EQ(RenderResponse(answered.responses[1]),
+            RenderResponse(session.Execute(after)));
+  EXPECT_EQ(answered.responses[1].state, eval::SweepCellState::kOk);
 }
 
 }  // namespace
