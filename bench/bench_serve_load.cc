@@ -2,8 +2,8 @@
 // dispatch overhead of the TCP front-end (DESIGN.md §15) with the solver
 // cost pinned small and cached, so what is measured is the protocol:
 // newline-JSON vs GFB1 binary framing, and one-request-per-round-trip vs
-// `groupform.batch/1` envelopes (which amortise round trips, ThreadPool
-// submission, and instance-cache lookups across the batch).
+// `groupform.batch/1` envelopes (which amortise round trips and
+// ThreadPool submission across the batch).
 //
 // Rows: wire {json, binary} × mode {single, batch} × pool threads
 // {1, 2, 8}. Every row runs a fresh in-process TcpServer on an ephemeral

@@ -55,12 +55,6 @@ class SolverOptions {
                                             long long fallback,
                                             long long min_value) const;
 
-  /// Strict boolean getter, same contract as GetCheckedInt: absent key →
-  /// `fallback`; anything but true/1/false/0/empty (empty = bare key =
-  /// true) → INVALID_ARGUMENT.
-  common::StatusOr<bool> GetCheckedBool(const std::string& key,
-                                        bool fallback) const;
-
   /// Typed access to kStartAssignmentKey (implemented in delta.cc). Set
   /// stores the partition in its canonical string encoding; Get returns
   /// an empty partition when the key is absent or empty, and

@@ -3,25 +3,6 @@
 #include "common/strings.h"
 
 namespace groupform::core {
-namespace {
-
-/// One definition of the option-bag boolean literals, shared by the
-/// lenient and checked getters so their accept-sets cannot drift. An
-/// empty value (bare key) means true. Returns false when `value` is not
-/// a recognized literal.
-bool ParseBoolLiteral(const std::string& value, bool* out) {
-  if (value == "true" || value == "1" || value.empty()) {
-    *out = true;
-    return true;
-  }
-  if (value == "false" || value == "0") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 long long SolverOptions::GetInt(const std::string& key,
                                 long long fallback) const {
@@ -60,21 +41,11 @@ common::StatusOr<long long> SolverOptions::GetCheckedInt(
 bool SolverOptions::GetBool(const std::string& key, bool fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
-  bool parsed = false;
-  return ParseBoolLiteral(it->second, &parsed) ? parsed : fallback;
-}
-
-common::StatusOr<bool> SolverOptions::GetCheckedBool(const std::string& key,
-                                                     bool fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  bool parsed = false;
-  if (!ParseBoolLiteral(it->second, &parsed)) {
-    return common::Status::InvalidArgument(
-        "solver option '" + key +
-        "' must be a boolean (true/1/false/0), got '" + it->second + "'");
-  }
-  return parsed;
+  // An empty value (bare key) means true.
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value.empty()) return true;
+  if (value == "false" || value == "0") return false;
+  return fallback;
 }
 
 std::string SolverOptions::GetString(const std::string& key,

@@ -154,16 +154,8 @@ std::vector<PlannedMove> PlanPassMoves(
         problem, scorer, groups, satisfaction, group_of,
         visit_order[static_cast<std::size_t>(i)], pass_seed, options);
   };
-  if (options.parallel_moves) {
-    common::ThreadPool::Shared().ParallelFor(
-        static_cast<std::int64_t>(visit_order.size()), /*grain=*/0,
-        plan_one);
-  } else {
-    for (std::int64_t i = 0;
-         i < static_cast<std::int64_t>(visit_order.size()); ++i) {
-      plan_one(i);
-    }
-  }
+  common::ThreadPool::Shared().ParallelFor(
+      static_cast<std::int64_t>(visit_order.size()), /*grain=*/0, plan_one);
   return moves;
 }
 

@@ -59,10 +59,6 @@ class LocalSearchSolver : public core::FormationSolver {
     std::vector<std::vector<UserId>> start_assignment;
     /// Minimum objective gain for a move to be applied.
     double min_improvement = 1e-9;
-    /// Batch-evaluate each pass's candidate moves on the shared pool.
-    /// The plan/apply split makes results byte-identical either way
-    /// (DESIGN.md §10.3); false forces the planning loop serial.
-    bool parallel_moves = true;
     /// Anytime budget (DESIGN.md §17.4): >= 0 arms a wall-clock deadline
     /// in milliseconds, checked at each pass boundary. On expiry the run
     /// returns its best-so-far partition with FormationResult::partial =
@@ -125,12 +121,12 @@ common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u);
 /// Plans the best move for every user of `visit_order` against the
 /// current partition snapshot (`groups`, the matching per-group
 /// `satisfaction`, and the matching user→group index `group_of`),
-/// batch-evaluating users on the shared pool when options.parallel_moves
-/// is set. Slot i of the result is the move for visit_order[i].
-/// Relocations are preferred over swaps (a swap is only planned when no
-/// relocation improves), matching the serial reference; exposed so tests
-/// can pin the parallel plan against an independent serial
-/// implementation (tests/exact/local_search_parallel_test.cc).
+/// batch-evaluating users on the shared pool. Slot i of the result is the
+/// move for visit_order[i]. Relocations are preferred over swaps (a swap
+/// is only planned when no relocation improves), matching the serial
+/// reference; exposed so tests can pin the parallel plan against an
+/// independent serial implementation
+/// (tests/exact/local_search_parallel_test.cc).
 std::vector<LocalSearchSolver::PlannedMove> PlanPassMoves(
     const core::FormationProblem& problem,
     const grouprec::GroupScorer& scorer,

@@ -34,14 +34,9 @@ common::StatusOr<LocalSearchSolver::Options> MakeLocalSearchOptions(
   opt.swap_samples = AsInt(options, "swap_samples", opt.swap_samples);
   opt.init_with_greedy =
       options.GetBool("init_with_greedy", opt.init_with_greedy);
-  // The parallelism knob is validated at registry-lookup time: a bad
-  // override must fail Create, not silently fall back.
-  GF_ASSIGN_OR_RETURN(
-      opt.parallel_moves,
-      options.GetCheckedBool("parallel_moves", opt.parallel_moves));
-  // Warm starts are validated the same way: a malformed
-  // start_assignment encoding fails the lookup, and the solver
-  // itself rejects partitions that do not cover the instance.
+  // Warm starts are validated at registry-lookup time: a malformed
+  // start_assignment encoding fails Create, and the solver itself
+  // rejects partitions that do not cover the instance.
   GF_ASSIGN_OR_RETURN(opt.start_assignment, options.GetStartAssignment());
   return opt;
 }

@@ -246,8 +246,8 @@ inline constexpr char kBatchResponseSchema[] = "groupform.batchresponse/1";
 inline constexpr int kMaxBatchRequests = 4096;
 
 /// One `groupform.batch/1`: an ordered array of request/delta documents
-/// executed as a unit (one ThreadPool job, batch-local instance pinning)
-/// while keeping per-element response semantics.
+/// executed as a unit (one ThreadPool job) while keeping per-element
+/// response semantics.
 struct BatchRequest {
   /// Client-chosen correlation id for the envelope, echoed verbatim.
   std::string id;

@@ -34,38 +34,32 @@ class Session : public LineHandler {
  public:
   explicit Session(SessionConfig config = SessionConfig());
 
-  /// Executes a parsed request. Never fails: every outcome, including
-  /// solver errors, is a Response (state OK/DNF/ERR). `received_at`
-  /// anchors the deadline_ms window; the server stamps it when the
-  /// request line arrives (tests inject past instants to pin the
-  /// deadline paths deterministically).
+  /// Executes a parsed `groupform.request/1` or `groupform.delta/1`
+  /// request. Never fails: every outcome, including solver errors, is a
+  /// Response (state OK/DNF/ERR). Both kinds take one path: check the
+  /// solver name, resolve the instance (a delta's epoch through
+  /// InstanceCache::GetEpoch), apply user_cap, build the problem, apply
+  /// the deadline (anytime solvers get the remaining budget instead),
+  /// solve, classify, package. A delta solves by route: localsearch folds
+  /// a warm start forward from the previous epoch's memoized solution;
+  /// every other solver cold-solves the epoch (and its predecessor, for
+  /// objective_delta_vs_previous) with per-epoch memoization. Memoized
+  /// state is keyed by (epoch, solver, options, problem, seed) and holds
+  /// only complete solves, so responses are byte-identical at every
+  /// thread count and pipelining window. `received_at` anchors the
+  /// deadline_ms window; the server stamps it when the request line
+  /// arrives (tests inject past instants to pin the deadline paths
+  /// deterministically).
   Response Execute(
       const Request& request,
       std::chrono::steady_clock::time_point received_at =
           std::chrono::steady_clock::now());
 
-  /// Executes a parsed `groupform.delta/1` request (DESIGN.md §13).
-  /// Resolves the epoch through InstanceCache::GetEpoch (malformed delta
-  /// sequences answer ERR(INVALID_ARGUMENT) on the wire), then solves by
-  /// route: localsearch folds a warm start forward from the previous
-  /// epoch's memoized solution; every other solver cold-solves the epoch
-  /// (and its predecessor, for objective_delta_vs_previous) with
-  /// per-epoch memoization. A predecessor that emptied the population
-  /// prices at objective 0. All cached state is pure memoization keyed
-  /// by (epoch, solver, options, problem, seed), so responses are
-  /// byte-identical at every thread count and pipelining window.
-  Response ExecuteDelta(
-      const Request& request,
-      std::chrono::steady_clock::time_point received_at =
-          std::chrono::steady_clock::now());
-
-  /// Executes a parsed `groupform.batch/1` envelope: every element in
-  /// order, serially, inside the caller's thread — the server submits the
-  /// whole batch as ONE ThreadPool job, which is the submission
-  /// amortisation. Instances are additionally pinned batch-locally, so
-  /// consecutive elements naming the same spec pay the cache's lock and
-  /// lookup once. Element semantics are exactly the single-request ones:
-  /// responses[i] answers requests[i], with its own OK/DNF/ERR state.
+  /// Executes a parsed `groupform.batch/1` envelope: Execute on every
+  /// element in order, serially, inside the caller's thread — the server
+  /// submits the whole batch as ONE ThreadPool job, which is the
+  /// submission amortisation. responses[i] answers requests[i], with its
+  /// own OK/DNF/ERR state.
   BatchResponse ExecuteBatch(
       const BatchRequest& batch,
       std::chrono::steady_clock::time_point received_at =
@@ -86,13 +80,6 @@ class Session : public LineHandler {
   const SessionConfig& config() const { return config_; }
 
  private:
-  /// The fresh-request path after instance resolution; `loaded` pins the
-  /// cache entry for the duration (batch execution resolves once per
-  /// distinct spec and reuses the pin across elements).
-  Response ExecuteLoaded(const Request& request,
-                         std::chrono::steady_clock::time_point received_at,
-                         const LoadedInstance& loaded);
-
   const SessionConfig config_;
   InstanceCache cache_;
 };

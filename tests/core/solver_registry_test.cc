@@ -153,15 +153,15 @@ TEST(SolverRegistry, NamesAreSorted) {
   registry.Unregister("aa-stub");
 }
 
-/// A factory that validates its parallelism knob the way the built-in
-/// localsearch factory does: a malformed parallel_moves must fail Create
-/// with INVALID_ARGUMENT, not silently keep the default.
+/// A factory that strictly validates a non-negative integer knob: a
+/// malformed value must fail Create with INVALID_ARGUMENT, not silently
+/// keep the default.
 SolverRegistry::Factory CheckedFactory() {
   return [](const FormationProblem& problem, const SolverOptions& options)
              -> common::StatusOr<std::unique_ptr<FormationSolver>> {
-    GF_ASSIGN_OR_RETURN(const bool parallel_moves,
-                        options.GetCheckedBool("parallel_moves", true));
-    (void)parallel_moves;
+    GF_ASSIGN_OR_RETURN(const long long budget,
+                        options.GetCheckedInt("budget", 1, /*min_value=*/0));
+    (void)budget;
     return common::StatusOr<std::unique_ptr<FormationSolver>>(
         std::make_unique<OneGroupSolver>(problem, 0.0));
   };
@@ -179,31 +179,30 @@ TEST(SolverRegistry, BadKnobValuesFailAtLookupTimeUnknownNamesAreNotFound) {
   // Unknown solver: NOT_FOUND, regardless of options.
   const auto missing = registry.Create(
       "no-such-solver", problem,
-      SolverOptions().Set("parallel_moves", "true"));
+      SolverOptions().Set("budget", "true"));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
 
   // Known solver, malformed knob: INVALID_ARGUMENT naming the key.
   const auto garbage = registry.Create(
       "checked-stub", problem,
-      SolverOptions().Set("parallel_moves", "zebra"));
+      SolverOptions().Set("budget", "zebra"));
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.status().code(), common::StatusCode::kInvalidArgument);
-  EXPECT_NE(garbage.status().message().find("parallel_moves"),
+  EXPECT_NE(garbage.status().message().find("budget"),
             std::string::npos);
 
-  // Known solver, numeric value outside the boolean literals:
-  // INVALID_ARGUMENT.
+  // Known solver, value below the knob's floor: INVALID_ARGUMENT.
   const auto negative = registry.Create(
       "checked-stub", problem,
-      SolverOptions().Set("parallel_moves", "-1"));
+      SolverOptions().Set("budget", "-1"));
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().code(), common::StatusCode::kInvalidArgument);
 
   // Valid and absent values still construct.
   EXPECT_TRUE(registry
                   .Create("checked-stub", problem,
-                          SolverOptions().Set("parallel_moves", "0"))
+                          SolverOptions().Set("budget", "0"))
                   .ok());
   EXPECT_TRUE(registry.Create("checked-stub", problem).ok());
   registry.Unregister("checked-stub");
@@ -226,26 +225,6 @@ TEST(SolverOptions, GetCheckedIntValidatesPresentValues) {
   const auto negative_ok = options.GetCheckedInt("negative", 0, -10);
   ASSERT_TRUE(negative_ok.ok());
   EXPECT_EQ(*negative_ok, -7);
-}
-
-TEST(SolverOptions, GetCheckedBoolValidatesPresentValues) {
-  SolverOptions options;
-  options.Set("on", "true").Set("off", "0").Set("bare", "").Set("bad",
-                                                                "yes");
-  const auto absent = options.GetCheckedBool("missing", true);
-  ASSERT_TRUE(absent.ok());
-  EXPECT_TRUE(*absent);
-  const auto on = options.GetCheckedBool("on", false);
-  ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(*on);
-  const auto off = options.GetCheckedBool("off", true);
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(*off);
-  const auto bare = options.GetCheckedBool("bare", false);
-  ASSERT_TRUE(bare.ok());
-  EXPECT_TRUE(*bare);  // bare key = true, like GetBool
-  EXPECT_EQ(options.GetCheckedBool("bad", false).status().code(),
-            common::StatusCode::kInvalidArgument);
 }
 
 TEST(SolverOptions, TypedGettersFallBackOnMissingOrMalformed) {

@@ -1,7 +1,7 @@
 // The parallel pass of LocalSearchSolver (DESIGN.md §10.3): the pool-
 // planned moves match an independent serial reference implementation on
-// randomized instances, the objective is monotone non-decreasing per
-// pass, and parallel_moves never changes results — only schedule.
+// randomized instances, and the objective is monotone non-decreasing per
+// pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -176,7 +176,6 @@ TEST_F(LocalSearchParallelTest, ParallelPlanMatchesSerialReference) {
     const std::uint64_t pass_seed = trial * 0xabcdef123ULL + 5;
 
     LocalSearchSolver::Options options;
-    options.parallel_moves = true;
     common::ThreadPool::SetDefaultThreadCount(8);
     const auto planned =
         exact::PlanPassMoves(problem, scorer, groups, satisfaction,
@@ -219,28 +218,6 @@ TEST_F(LocalSearchParallelTest, ObjectiveMonotoneNonDecreasingPerPass) {
   }
 }
 
-TEST_F(LocalSearchParallelTest, ParallelMovesKnobNeverChangesResults) {
-  const auto matrix = data::GenerateLatentFactor(
-      data::MovieLensLikeConfig(40, 20, /*seed=*/61));
-  const auto problem = Problem(matrix, /*k=*/3, /*ell=*/6);
-  common::ThreadPool::SetDefaultThreadCount(8);
-  LocalSearchSolver::Options serial_options;
-  serial_options.parallel_moves = false;
-  const auto serial = LocalSearchSolver(problem, serial_options).Run();
-  LocalSearchSolver::Options parallel_options;
-  parallel_options.parallel_moves = true;
-  const auto parallel = LocalSearchSolver(problem, parallel_options).Run();
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->objective, serial->objective);  // bitwise
-  ASSERT_EQ(parallel->groups.size(), serial->groups.size());
-  for (std::size_t g = 0; g < serial->groups.size(); ++g) {
-    EXPECT_EQ(parallel->groups[g].members, serial->groups[g].members);
-    EXPECT_EQ(parallel->groups[g].recommendation.items,
-              serial->groups[g].recommendation.items);
-  }
-}
-
 TEST_F(LocalSearchParallelTest, SingleGroupInstancePlansNoMoves) {
   const auto matrix = data::GenerateClusteredDense(12, 8, 2, 71);
   const auto problem = Problem(matrix, /*k=*/2, /*ell=*/1);
@@ -250,40 +227,27 @@ TEST_F(LocalSearchParallelTest, SingleGroupInstancePlansNoMoves) {
   EXPECT_EQ(result->num_groups(), 1);
 }
 
-TEST_F(LocalSearchParallelTest, FactoryValidatesParallelKnobsAtCreate) {
+TEST_F(LocalSearchParallelTest, StaleParallelKnobsAreIgnored) {
+  // The removed parallel_moves and shard_min_items keys are read by no
+  // factory, so they are ignored like any unknown key.
   exact::RegisterExactSolvers();  // idempotent: duplicates are rejected
   auto& registry = core::SolverRegistry::Global();
   const auto matrix = data::GenerateClusteredDense(10, 6, 2, 73);
   const auto problem = Problem(matrix, /*k=*/2, /*ell=*/3);
-
-  const auto negative = registry.Create(
+  const auto stale = registry.Create(
       "localsearch", problem,
-      core::SolverOptions().Set("parallel_moves", "-4"));
-  ASSERT_FALSE(negative.ok());
-  EXPECT_EQ(negative.status().code(), common::StatusCode::kInvalidArgument);
-
-  const auto garbage = registry.Create(
-      "localsearch", problem,
-      core::SolverOptions().Set("parallel_moves", "zebra"));
-  ASSERT_FALSE(garbage.ok());
-  EXPECT_EQ(garbage.status().code(), common::StatusCode::kInvalidArgument);
-
-  const auto bad_bool = registry.Create(
-      "localsearch", problem,
-      core::SolverOptions().Set("parallel_moves", "yes"));
-  ASSERT_FALSE(bad_bool.ok());
-  EXPECT_EQ(bad_bool.status().code(),
-            common::StatusCode::kInvalidArgument);
-
-  // A key the factory does not read is ignored like any unknown key.
-  const auto valid = registry.Create(
-      "localsearch", problem,
-      core::SolverOptions().Set("shard_min_items", "zebra").Set(
-          "parallel_moves", "false"));
-  ASSERT_TRUE(valid.ok()) << valid.status();
-  const auto solved = (*valid)->Solve();
-  ASSERT_TRUE(solved.ok());
-  EXPECT_TRUE(core::ValidatePartition(problem, *solved).ok());
+      core::SolverOptions().Set("parallel_moves", "zebra").Set(
+          "shard_min_items", "zebra"));
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  const auto solved = (*stale)->Solve();
+  const auto plain = LocalSearchSolver(problem).Run();
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(solved->objective, plain->objective);  // bitwise
+  ASSERT_EQ(solved->groups.size(), plain->groups.size());
+  for (std::size_t g = 0; g < plain->groups.size(); ++g) {
+    EXPECT_EQ(solved->groups[g].members, plain->groups[g].members);
+  }
 }
 
 }  // namespace

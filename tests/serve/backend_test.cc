@@ -231,7 +231,7 @@ TEST_F(BackendTest, DeltaStreamsRequireTheDenseBackend) {
   delta.kind = core::PopulationDelta::Kind::kRemoveUser;
   delta.user = 3;
   request.deltas.push_back(delta);
-  const Response response = session.ExecuteDelta(request);
+  const Response response = session.Execute(request);
   EXPECT_EQ(response.state, eval::SweepCellState::kErr);
   EXPECT_EQ(response.status.code(),
             common::StatusCode::kInvalidArgument);

@@ -199,6 +199,32 @@ TEST_F(ConstrainedServeTest, ExpiredDeadlineMapsByFailurePolicy) {
   EXPECT_TRUE(partial.partial);
   EXPECT_EQ(partial.solver, "anytime:localsearch");
   EXPECT_GT(partial.num_groups, 0);
+
+  // A delta request takes the same path and gets the same answers.
+  const core::PopulationDelta remove = {
+      core::PopulationDelta::Kind::kRemoveUser, 5};
+  plain.is_delta = true;
+  plain.deltas.push_back(remove);
+  const Response declined_delta = session_.Execute(plain, past);
+  EXPECT_EQ(declined_delta.state, eval::SweepCellState::kDnf)
+      << declined_delta.status;
+
+  anytime.is_delta = true;
+  anytime.deltas.push_back(remove);
+  const Response partial_delta = session_.Execute(anytime, past);
+  ASSERT_EQ(partial_delta.state, eval::SweepCellState::kOk)
+      << partial_delta.status;
+  EXPECT_TRUE(partial_delta.partial);
+  EXPECT_FALSE(partial_delta.epoch.empty());
+  EXPECT_GT(partial_delta.num_groups, 0);
+
+  // Partial solves stay out of the solution memo: the same delta without
+  // a deadline is solved to completion.
+  anytime.deadline_ms = 0;
+  const Response complete_delta = session_.Execute(anytime);
+  ASSERT_EQ(complete_delta.state, eval::SweepCellState::kOk)
+      << complete_delta.status;
+  EXPECT_FALSE(complete_delta.partial);
 }
 
 TEST_F(ConstrainedServeTest, ClientDeadlineOptionWinsOverInjection) {

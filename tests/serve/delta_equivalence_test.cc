@@ -144,7 +144,7 @@ TEST_F(DeltaEquivalenceTest, GreedyDeltaMatchesFreshResolveByteForByte) {
       const auto deltas = RandomSequence(rng, membership_only);
       Session session;
       Request delta_request = DeltaRequest("greedy", deltas);
-      Response via_delta = session.ExecuteDelta(delta_request);
+      Response via_delta = session.Execute(delta_request);
       ASSERT_EQ(via_delta.state, eval::SweepCellState::kOk)
           << via_delta.status;
 
@@ -175,7 +175,7 @@ TEST_F(DeltaEquivalenceTest, WarmStartedLocalsearchNeverWorseThanCold) {
     const auto deltas = RandomSequence(rng, /*membership_only=*/false);
     Session session;
     Request delta_request = DeltaRequest("localsearch", deltas);
-    const Response warm = session.ExecuteDelta(delta_request);
+    const Response warm = session.Execute(delta_request);
     ASSERT_EQ(warm.state, eval::SweepCellState::kOk) << warm.status;
     EXPECT_GE(warm.warm_start_passes, 0);
 
@@ -197,12 +197,12 @@ TEST_F(DeltaEquivalenceTest, ObjectiveDeltaPricesAgainstThePrefixEpoch) {
     if (deltas.empty()) continue;
     Session session;
     const Response full =
-        session.ExecuteDelta(DeltaRequest(solver, deltas));
+        session.Execute(DeltaRequest(solver, deltas));
     ASSERT_EQ(full.state, eval::SweepCellState::kOk) << full.status;
     auto prefix = deltas;
     prefix.pop_back();
     const Response previous =
-        session.ExecuteDelta(DeltaRequest(solver, prefix));
+        session.Execute(DeltaRequest(solver, prefix));
     ASSERT_EQ(previous.state, eval::SweepCellState::kOk)
         << previous.status;
     EXPECT_EQ(full.objective_delta_vs_previous,
@@ -214,7 +214,7 @@ TEST_F(DeltaEquivalenceTest, ObjectiveDeltaPricesAgainstThePrefixEpoch) {
 TEST_F(DeltaEquivalenceTest, EmptySequenceIsItsOwnPrevious) {
   Session session;
   const Response response =
-      session.ExecuteDelta(DeltaRequest("greedy", {}));
+      session.Execute(DeltaRequest("greedy", {}));
   ASSERT_EQ(response.state, eval::SweepCellState::kOk) << response.status;
   EXPECT_EQ(response.objective_delta_vs_previous, 0.0);
   // A cancelling sequence shares the base matrix's cache entry: one
@@ -243,7 +243,7 @@ TEST_F(DeltaEquivalenceTest, EmptiedPreviousEpochPricesAtZero) {
     request.instance = two_users;
     request.problem.k = 2;
     request.problem.groups = 2;
-    const Response response = session.ExecuteDelta(request);
+    const Response response = session.Execute(request);
     EXPECT_EQ(response.state, eval::SweepCellState::kOk)
         << solver << ": " << response.status;
     if (response.state != eval::SweepCellState::kOk) continue;
@@ -253,7 +253,7 @@ TEST_F(DeltaEquivalenceTest, EmptiedPreviousEpochPricesAtZero) {
     // One more delta: the emptied epoch is now two back, and the fold
     // restarts cold after it instead of failing.
     request.deltas.push_back({Kind::kAddUser, 1});
-    const Response longer = session.ExecuteDelta(request);
+    const Response longer = session.Execute(request);
     ASSERT_EQ(longer.state, eval::SweepCellState::kOk)
         << solver << ": " << longer.status;
     EXPECT_EQ(longer.objective_delta_vs_previous,

@@ -95,8 +95,8 @@ TEST_F(SessionTest, UnknownSolverIsErrNotFound) {
 
 TEST_F(SessionTest, UnknownSolverAnswersBeforeTheInstanceLoads) {
   // The name check runs before the cache resolves anything, so a client
-  // cannot make an unknown solver allocate the instance it declares. Every
-  // entry point answers with the registry's own NOT_FOUND text.
+  // cannot make an unknown solver allocate the instance it declares. Fresh,
+  // delta and batch requests answer with the registry's own NOT_FOUND text.
   Session session;
   const std::string expected =
       core::SolverRegistry::Global().CheckRegistered("warpdrive").message();
@@ -112,7 +112,7 @@ TEST_F(SessionTest, UnknownSolverAnswersBeforeTheInstanceLoads) {
   batch.requests = {fresh, delta};
 
   std::vector<Response> responses = {session.Execute(fresh),
-                                     session.ExecuteDelta(delta)};
+                                     session.Execute(delta)};
   for (Response& response : session.ExecuteBatch(batch).responses) {
     responses.push_back(std::move(response));
   }
@@ -130,9 +130,9 @@ TEST_F(SessionTest, UnknownSolverAnswersBeforeTheInstanceLoads) {
 TEST_F(SessionTest, BadSolverOptionIsErrInvalidArgument) {
   Session session;
   Request request = TestRequest("localsearch");
-  // parallel_moves is a strictly validated knob: a non-boolean
-  // override fails SolverRegistry::Create.
-  request.options.Set("parallel_moves", "banana");
+  // start_assignment is strictly validated: a malformed encoding fails
+  // SolverRegistry::Create.
+  request.options.Set(core::kStartAssignmentKey, "banana");
   const Response response = session.Execute(request);
   EXPECT_EQ(response.state, eval::SweepCellState::kErr);
   EXPECT_EQ(response.status.code(),
@@ -266,6 +266,20 @@ TEST_F(SessionTest, ProblemKnobsReachTheSolver) {
   ASSERT_EQ(lm.state, eval::SweepCellState::kOk) << lm.status;
   // Different semantics/aggregation/k must not produce the same envelope.
   EXPECT_NE(RenderResponse(av), RenderResponse(lm));
+}
+
+TEST_F(SessionTest, ExecuteAnswersADeltaAsHandleLineDoes) {
+  // Execute dispatches on is_delta: a delta request answers its epoch on
+  // either route, never the base instance.
+  for (const std::string solver : {"greedy", "localsearch"}) {
+    Request request = DeltaTestRequest(solver);
+    request.include_groups = true;
+    Session direct;
+    Session by_line;
+    const std::string executed = RenderResponse(direct.Execute(request));
+    EXPECT_EQ(executed, by_line.HandleLine(RenderRequest(request))) << solver;
+    EXPECT_NE(executed.find("\"epoch\":"), std::string::npos) << executed;
+  }
 }
 
 // The delta path's non-OK outcomes, pinned as whole rendered lines so
