@@ -46,5 +46,9 @@ TEST(GoldenReplay, SmokeGoldens) { ExpectReplayMatches("smoke"); }
 
 TEST(GoldenReplay, MetricsGoldens) { ExpectReplayMatches("metrics"); }
 
+TEST(GoldenReplay, ConstrainedGoldens) {
+  ExpectReplayMatches("constrained");
+}
+
 }  // namespace
 }  // namespace groupform::serve
