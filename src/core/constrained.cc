@@ -16,36 +16,6 @@ using common::Status;
 using common::StatusOr;
 using common::StrFormat;
 
-Status SizeConstraints::Validate(const FormationProblem& problem) const {
-  GF_RETURN_IF_ERROR(problem.Validate());
-  if (min_group_size < 1) {
-    return Status::InvalidArgument(StrFormat(
-        "min_group_size must be >= 1, got %d", min_group_size));
-  }
-  if (max_group_size < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "max_group_size must be >= 0, got %d", max_group_size));
-  }
-  if (max_group_size > 0 && max_group_size < min_group_size) {
-    return Status::InvalidArgument(
-        StrFormat("max_group_size %d < min_group_size %d", max_group_size,
-                  min_group_size));
-  }
-  const std::int64_t n = problem.Store().num_users();
-  if (n < min_group_size) {
-    return Status::InvalidArgument(
-        StrFormat("%lld users cannot form any group of >= %d members",
-                  static_cast<long long>(n), min_group_size));
-  }
-  if (max_group_size > 0 &&
-      static_cast<std::int64_t>(max_group_size) * problem.max_groups < n) {
-    return Status::InvalidArgument(StrFormat(
-        "%d groups of <= %d members cannot hold %lld users",
-        problem.max_groups, max_group_size, static_cast<long long>(n)));
-  }
-  return Status::Ok();
-}
-
 namespace {
 
 /// Mean own-rating of `members` for the items of `list` under the
@@ -177,15 +147,16 @@ struct Partition {
     return count;
   }
 
+  void Move(UserId user, int to) {
+    const int from = group_of[static_cast<std::size_t>(user)];
+    if (from == to) return;
+    if (from >= 0) SortedErase(groups[static_cast<std::size_t>(from)], user);
+    SortedInsert(groups[static_cast<std::size_t>(to)], user);
+    group_of[static_cast<std::size_t>(user)] = to;
+  }
+
   void MoveAtom(const std::vector<UserId>& atom, int to) {
-    for (const UserId user : atom) {
-      const int from = group_of[static_cast<std::size_t>(user)];
-      if (from == to) continue;
-      if (from >= 0) SortedErase(groups[static_cast<std::size_t>(from)],
-                                 user);
-      SortedInsert(groups[static_cast<std::size_t>(to)], user);
-      group_of[static_cast<std::size_t>(user)] = to;
-    }
+    for (const UserId user : atom) Move(user, to);
   }
 };
 
@@ -218,16 +189,15 @@ bool ConflictFree(const Partition& partition, const LinkContext& links,
   return true;
 }
 
-/// Finds (or opens) the group `atom` should move into: the conflict-free
-/// group with spare capacity whose current recommended list the atom
-/// likes most (ties to the lowest index); a fresh slot when no existing
-/// group is feasible and the group budget allows. -1 when nothing is
-/// feasible.
-int BestRelocationTarget(const FormationProblem& problem,
-                         const grouprec::GroupScorer& scorer,
-                         Partition& partition, const LinkContext& links,
-                         const std::vector<UserId>& atom, int exclude,
-                         int max_group_size) {
+/// The non-empty group other than `exclude` that `atom` may join — spare
+/// capacity under `max_group_size`, no cannot-link adversary inside —
+/// whose current recommended list the atom likes most (ties to the lowest
+/// index). -1 when no existing group is feasible.
+int BestFeasibleGroup(const FormationProblem& problem,
+                      const grouprec::GroupScorer& scorer,
+                      const Partition& partition, const LinkContext& links,
+                      const std::vector<UserId>& atom, int exclude,
+                      int max_group_size) {
   double best_affinity = -std::numeric_limits<double>::infinity();
   int best = -1;
   for (std::size_t h = 0; h < partition.groups.size(); ++h) {
@@ -248,9 +218,21 @@ int BestRelocationTarget(const FormationProblem& problem,
       best = static_cast<int>(h);
     }
   }
+  return best;
+}
+
+/// BestFeasibleGroup, else a fresh slot when the group budget allows (the
+/// lowest empty tombstone before growing the vector). -1 when nothing is
+/// feasible.
+int BestRelocationTarget(const FormationProblem& problem,
+                         const grouprec::GroupScorer& scorer,
+                         Partition& partition, const LinkContext& links,
+                         const std::vector<UserId>& atom, int exclude,
+                         int max_group_size) {
+  const int best = BestFeasibleGroup(problem, scorer, partition, links, atom,
+                                     exclude, max_group_size);
   if (best >= 0) return best;
   if (partition.NonEmptyCount() < problem.max_groups) {
-    // Reuse the lowest empty tombstone slot before growing the vector.
     for (std::size_t h = 0; h < partition.groups.size(); ++h) {
       if (partition.groups[h].empty()) return static_cast<int>(h);
     }
@@ -260,13 +242,60 @@ int BestRelocationTarget(const FormationProblem& problem,
   return -1;
 }
 
-/// Steps 2-4 of the link-aware pipeline (consolidate atoms, separate
-/// cannot-link pairs, repair sizes) applied to a greedy-seeded partition.
-Status RepairLinkedPartition(const FormationProblem& problem,
-                             const grouprec::GroupScorer& scorer,
-                             const ConstraintSpec& spec,
-                             const LinkContext& links,
-                             Partition& partition) {
+/// capgreedy's oversize repair. While spare group slots exist, a
+/// capacity-sized part is carved off the back of every oversized group
+/// into a new group; the overflow left when slots run out moves, last
+/// member first, into the first group with free capacity.
+Status CarveAndRebalance(const FormationProblem& problem, int cap,
+                         Partition& partition) {
+  if (cap <= 0) return Status::Ok();
+  auto& groups = partition.groups;
+  const auto size_cap = static_cast<std::size_t>(cap);
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g].size() <= size_cap) continue;
+      if (static_cast<int>(groups.size()) >= problem.max_groups) break;
+      std::vector<UserId> carved(
+          groups[g].end() - static_cast<std::ptrdiff_t>(size_cap),
+          groups[g].end());
+      groups[g].resize(groups[g].size() - size_cap);
+      for (const UserId user : carved) {
+        partition.group_of[static_cast<std::size_t>(user)] =
+            static_cast<int>(groups.size());
+      }
+      groups.push_back(std::move(carved));
+      progress = true;
+    }
+  }
+  // ConstraintSpec::Validate guarantees max_groups * cap seats, so some
+  // group always has room for the overflow.
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    while (groups[g].size() > size_cap) {
+      std::size_t target = 0;
+      while (target < groups.size() &&
+             (target == g || groups[target].size() >= size_cap)) {
+        ++target;
+      }
+      if (target == groups.size()) {
+        return Status::InvalidArgument(StrFormat(
+            "cannot satisfy max_group_size=%d within %d groups: a "
+            "group of %zu users has nowhere to shed overflow",
+            cap, problem.max_groups, groups[g].size()));
+      }
+      partition.Move(groups[g].back(), static_cast<int>(target));
+    }
+  }
+  return Status::Ok();
+}
+
+/// pairgreedy / fairgreedy's oversize repair: consolidate atoms, separate
+/// cannot-link pairs, shed atoms from oversized groups.
+Status RepairLinks(const FormationProblem& problem,
+                   const grouprec::GroupScorer& scorer,
+                   const ConstraintSpec& spec, const LinkContext& links,
+                   Partition& partition) {
   // ---- Consolidate every multi-member atom into one group: the group
   // holding most of its members, ties to the lowest group index. ----
   for (const auto& [rep, members] : links.atoms) {
@@ -319,10 +348,8 @@ Status RepairLinkedPartition(const FormationProblem& problem,
     partition.MoveAtom(atom, target);
   }
 
-  // ---- Size repair, atom-aware. Oversized groups shed atoms into
-  // feasible groups (capacity + conflicts respected, so neither repair
-  // can re-violate a link); undersized groups then merge whole into
-  // their best feasible target. ----
+  // ---- Oversized groups shed atoms into feasible groups (capacity +
+  // conflicts respected, so no link is re-violated). ----
   if (spec.max_group_size > 0) {
     const int cap = spec.max_group_size;
     for (std::size_t g = 0; g < partition.groups.size(); ++g) {
@@ -357,58 +384,44 @@ Status RepairLinkedPartition(const FormationProblem& problem,
       }
     }
   }
-  if (spec.min_group_size > 1) {
-    while (true) {
-      // Smallest undersized non-empty group first.
-      int smallest = -1;
-      for (std::size_t g = 0; g < partition.groups.size(); ++g) {
-        const auto& group = partition.groups[g];
-        if (group.empty()) continue;
-        if (static_cast<int>(group.size()) >= spec.min_group_size) {
-          continue;
-        }
-        if (smallest < 0 ||
-            group.size() <
-                partition.groups[static_cast<std::size_t>(smallest)]
-                    .size()) {
-          smallest = static_cast<int>(g);
-        }
-      }
-      if (smallest < 0) break;
-      const std::vector<UserId> members =
-          partition.groups[static_cast<std::size_t>(smallest)];
-      double best_affinity = -std::numeric_limits<double>::infinity();
-      int best = -1;
-      for (std::size_t h = 0; h < partition.groups.size(); ++h) {
-        if (static_cast<int>(h) == smallest) continue;
-        const auto& group = partition.groups[h];
-        if (group.empty()) continue;
-        if (spec.max_group_size > 0 &&
-            static_cast<int>(group.size() + members.size()) >
-                spec.max_group_size) {
-          continue;
-        }
-        if (!ConflictFree(partition, links, members,
-                          static_cast<int>(h))) {
-          continue;
-        }
-        const auto list = ComputeGroupList(problem, scorer, group);
-        const double affinity = MeanAffinity(problem, members, list);
-        if (affinity > best_affinity) {
-          best_affinity = affinity;
-          best = static_cast<int>(h);
-        }
-      }
-      if (best < 0) {
-        return Status::InvalidArgument(StrFormat(
-            "cannot reach min_group_size=%d under max_group_size=%d: a "
-            "group of %zu users has no feasible merge target",
-            spec.min_group_size, spec.max_group_size, members.size()));
-      }
-      partition.MoveAtom(members, best);
-    }
-  }
   return Status::Ok();
+}
+
+/// The family's one undersize merge: the smallest undersized non-empty
+/// group (ties to the lowest index) merges whole into its
+/// BestFeasibleGroup, until every formed group reaches min_group_size.
+Status MergeUndersized(const FormationProblem& problem,
+                       const grouprec::GroupScorer& scorer,
+                       const ConstraintSpec& spec, const LinkContext& links,
+                       Partition& partition) {
+  while (true) {
+    int smallest = -1;
+    for (std::size_t g = 0; g < partition.groups.size(); ++g) {
+      const auto& group = partition.groups[g];
+      if (group.empty() ||
+          static_cast<int>(group.size()) >= spec.min_group_size) {
+        continue;
+      }
+      if (smallest < 0 ||
+          group.size() <
+              partition.groups[static_cast<std::size_t>(smallest)].size()) {
+        smallest = static_cast<int>(g);
+      }
+    }
+    if (smallest < 0) return Status::Ok();
+    const std::vector<UserId> members =
+        partition.groups[static_cast<std::size_t>(smallest)];
+    const int best = BestFeasibleGroup(problem, scorer, partition, links,
+                                       members, smallest,
+                                       spec.max_group_size);
+    if (best < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "cannot reach min_group_size=%d under max_group_size=%d: a "
+          "group of %zu users has no feasible merge target",
+          spec.min_group_size, spec.max_group_size, members.size()));
+    }
+    partition.MoveAtom(members, best);
+  }
 }
 
 /// Honest packaging: recompute every group's list and satisfaction from
@@ -453,23 +466,93 @@ std::string ConstrainedLabel(const FormationProblem& problem,
   return label;
 }
 
-/// The shared front of RunLinkConstrainedGreedy / RunFairConstrainedGreedy:
-/// validate, seed, repair. Outputs the repaired partition and the link
-/// context for callers that keep repairing (the fairness pass).
-StatusOr<std::pair<Partition, LinkContext>> BuildLinkedPartition(
-    const FormationProblem& problem, const grouprec::GroupScorer& scorer,
-    const ConstraintSpec& spec) {
-  GF_RETURN_IF_ERROR(problem.Validate());
-  const std::int64_t num_users = problem.Store().num_users();
-  GF_RETURN_IF_ERROR(spec.Validate(num_users, problem.max_groups));
-  GF_ASSIGN_OR_RETURN(
-      LinkContext links,
-      BuildLinkContext(spec, num_users, spec.max_group_size));
-  GF_ASSIGN_OR_RETURN(FormationResult seed, RunGreedy(problem));
-  Partition partition = FromSeed(std::move(seed), num_users);
-  GF_RETURN_IF_ERROR(
-      RepairLinkedPartition(problem, scorer, spec, links, partition));
-  return std::make_pair(std::move(partition), std::move(links));
+/// fairgreedy's one deterministic fairness pass (DESIGN.md §17.3): visit
+/// atoms in ascending representative order, relocate each whose members
+/// sit below the floor into the feasible group its members like most —
+/// strictly better than where they are — and return how many users remain
+/// below the floor afterwards. Lists are cached per group and invalidated
+/// on every move.
+int RepairFloor(const FormationProblem& problem,
+                const grouprec::GroupScorer& scorer,
+                const ConstraintSpec& spec, const LinkContext& links,
+                Partition& partition) {
+  std::vector<grouprec::GroupTopK> lists(partition.groups.size());
+  std::vector<bool> fresh(partition.groups.size(), false);
+  const auto list_of = [&](int g) -> const grouprec::GroupTopK& {
+    const auto index = static_cast<std::size_t>(g);
+    if (!fresh[index]) {
+      lists[index] =
+          ComputeGroupList(problem, scorer, partition.groups[index]);
+      fresh[index] = true;
+    }
+    return lists[index];
+  };
+  const auto invalidate = [&](int g) {
+    const auto index = static_cast<std::size_t>(g);
+    if (index >= fresh.size()) {
+      fresh.resize(index + 1, false);
+      lists.resize(index + 1);
+    }
+    fresh[index] = false;
+  };
+  for (const auto& [rep, atom] : links.atoms) {
+    const int current =
+        partition.group_of[static_cast<std::size_t>(rep)];
+    const double here = MeanAffinity(problem, atom, list_of(current));
+    // Relocation is for atoms below the floor; an atom whose mean
+    // already clears it stays put.
+    if (here >= spec.min_user_sat - kFloorSlack) continue;
+    const auto& source = partition.groups[static_cast<std::size_t>(
+        current)];
+    // The source must stay a legal group (or empty entirely).
+    const bool source_ok =
+        source.size() == atom.size() ||
+        static_cast<int>(source.size() - atom.size()) >=
+            spec.min_group_size;
+    if (!source_ok) continue;
+    double best_value = here;
+    int best = -1;
+    for (std::size_t h = 0; h < partition.groups.size(); ++h) {
+      if (static_cast<int>(h) == current) continue;
+      const auto& group = partition.groups[h];
+      if (group.empty()) continue;
+      if (spec.max_group_size > 0 &&
+          static_cast<int>(group.size() + atom.size()) >
+              spec.max_group_size) {
+        continue;
+      }
+      if (!ConflictFree(partition, links, atom,
+                        static_cast<int>(h))) {
+        continue;
+      }
+      const double value =
+          MeanAffinity(problem, atom, list_of(static_cast<int>(h)));
+      if (value > best_value + kFloorSlack) {
+        best_value = value;
+        best = static_cast<int>(h);
+      }
+    }
+    if (best >= 0) {
+      partition.MoveAtom(atom, best);
+      invalidate(current);
+      invalidate(best);
+    }
+  }
+  // Count what remains below the floor — infeasibility is reported,
+  // never silent.
+  int floor_violations = 0;
+  for (std::size_t g = 0; g < partition.groups.size(); ++g) {
+    const auto& group = partition.groups[g];
+    if (group.empty()) continue;
+    const auto& list = list_of(static_cast<int>(g));
+    for (const UserId user : group) {
+      if (UserSatisfaction(problem, user, list) <
+          spec.min_user_sat - kFloorSlack) {
+        ++floor_violations;
+      }
+    }
+  }
+  return floor_violations;
 }
 
 }  // namespace
@@ -535,285 +618,71 @@ Status CheckPartition(const FormationProblem& problem,
   return Status::Ok();
 }
 
-StatusOr<FormationResult> RunSizeConstrainedGreedy(
-    const FormationProblem& problem, const SizeConstraints& constraints) {
-  GF_RETURN_IF_ERROR(constraints.Validate(problem));
-  GF_ASSIGN_OR_RETURN(FormationResult seed, RunGreedy(problem));
-  const grouprec::GroupScorer scorer = problem.MakeScorer();
+struct MemberInfo {
+  const char* name;
+  const char* description;
+};
 
-  // Work on plain member lists; scores are recomputed at the end.
-  std::vector<std::vector<UserId>> groups;
-  groups.reserve(seed.groups.size());
-  for (auto& g : seed.groups) groups.push_back(std::move(g.members));
+constexpr MemberInfo kMemberInfo[] = {
+    {"capgreedy",
+     "size-constrained greedy: GRD seed + split/rebalance/merge repair "
+     "(constraints: size bounds)"},
+    {"pairgreedy",
+     "link-aware greedy: must-link atoms, cannot-link repulsion, "
+     "atom-aware size repair (constraints: sizes + link pairs)"},
+    {"fairgreedy",
+     "fairness-floor greedy: link-aware pipeline + per-user floor "
+     "relocation, residual violations reported (full ConstraintSpec)"},
+};
 
-  // ---- Split oversized groups while spare slots exist ----
-  if (constraints.max_group_size > 0) {
-    const std::size_t cap =
-        static_cast<std::size_t>(constraints.max_group_size);
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (groups[g].size() <= cap) continue;
-        if (static_cast<int>(groups.size()) >= problem.max_groups) break;
-        // Carve a full-capacity part off the back (user ids stay sorted).
-        std::vector<UserId> carved(groups[g].end() -
-                                       static_cast<std::ptrdiff_t>(cap),
-                                   groups[g].end());
-        groups[g].resize(groups[g].size() - cap);
-        groups.push_back(std::move(carved));
-        progress = true;
-      }
-    }
-    // When no spare slots remain, rebalance overflow into groups with
-    // free capacity (feasibility is guaranteed by Validate: n fits in
-    // max_groups * cap seats).
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      while (groups[g].size() > cap) {
-        std::size_t target = groups.size();
-        for (std::size_t h = 0; h < groups.size(); ++h) {
-          if (h != g && groups[h].size() < cap) {
-            target = h;
-            break;
-          }
-        }
-        if (target == groups.size()) {
-          if (static_cast<int>(groups.size()) < problem.max_groups) {
-            groups.push_back({});
-            target = groups.size() - 1;
-          } else {
-            return Status::InvalidArgument(StrFormat(
-                "cannot satisfy max_group_size=%d within %d groups: a "
-                "group of %zu users has nowhere to shed overflow",
-                constraints.max_group_size, problem.max_groups,
-                groups[g].size()));
-          }
-        }
-        auto& overflow = groups[g];
-        auto& receiver = groups[target];
-        receiver.insert(std::lower_bound(receiver.begin(), receiver.end(),
-                                         overflow.back()),
-                        overflow.back());
-        overflow.pop_back();
-      }
-    }
-  }
-
-  // ---- Merge undersized groups into their best-matching larger group ----
-  if (constraints.min_group_size > 1) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      // Smallest group first.
-      std::size_t smallest = groups.size();
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (static_cast<int>(groups[g].size()) <
-                constraints.min_group_size &&
-            (smallest == groups.size() ||
-             groups[g].size() < groups[smallest].size())) {
-          smallest = g;
-        }
-      }
-      if (smallest == groups.size()) break;  // all satisfy the minimum
-
-      // Merge target: highest mean affinity of the undersized members to
-      // the target's current recommended list, subject to capacity.
-      double best_affinity = -std::numeric_limits<double>::infinity();
-      std::size_t best_target = groups.size();
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (g == smallest) continue;
-        if (constraints.max_group_size > 0 &&
-            static_cast<int>(groups[g].size() + groups[smallest].size()) >
-                constraints.max_group_size) {
-          continue;
-        }
-        const auto list = ComputeGroupList(problem, scorer, groups[g]);
-        const double affinity =
-            MeanAffinity(problem, groups[smallest], list);
-        if (affinity > best_affinity) {
-          best_affinity = affinity;
-          best_target = g;
-        }
-      }
-      if (best_target == groups.size()) {
-        return Status::InvalidArgument(StrFormat(
-            "cannot reach min_group_size=%d under max_group_size=%d: a "
-            "group of %zu users has no merge target with capacity",
-            constraints.min_group_size, constraints.max_group_size,
-            groups[smallest].size()));
-      }
-      auto& target = groups[best_target];
-      target.insert(target.end(), groups[smallest].begin(),
-                    groups[smallest].end());
-      std::sort(target.begin(), target.end());
-      groups.erase(groups.begin() +
-                   static_cast<std::ptrdiff_t>(smallest));
-      progress = true;
-    }
-  }
-
-  // ---- Re-score the repaired partition honestly ----
-  FormationResult result;
-  result.algorithm = StrFormat(
-      "%s [size %d..%s]",
-      GreedyFormer::AlgorithmName(problem).c_str(),
-      constraints.min_group_size,
-      constraints.max_group_size > 0
-          ? StrFormat("%d", constraints.max_group_size).c_str()
-          : "inf");
-  for (auto& members : groups) {
-    if (members.empty()) continue;
-    FormedGroup group;
-    group.members = std::move(members);
-    group.recommendation =
-        ComputeGroupList(problem, scorer, group.members);
-    group.satisfaction = AggregateListSatisfaction(
-        problem, static_cast<int>(group.members.size()),
-        group.recommendation);
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
-  }
-  return result;
+const char* ConstrainedGreedySolver::RegistryName(Member member) {
+  return kMemberInfo[static_cast<int>(member)].name;
 }
 
-StatusOr<FormationResult> RunLinkConstrainedGreedy(
-    const FormationProblem& problem) {
+const char* ConstrainedGreedySolver::Description(Member member) {
+  return kMemberInfo[static_cast<int>(member)].description;
+}
+
+StatusOr<FormationResult> ConstrainedGreedySolver::Solve(
+    std::uint64_t) const {
+  const FormationProblem& problem = problem_;
   const ConstraintSpec& spec = problem.constraints;
-  if (spec.has_min_user_sat) {
-    return Status::InvalidArgument(
-        "pairgreedy does not support min_user_sat; use fairgreedy for a "
-        "fairness floor");
-  }
-  const grouprec::GroupScorer scorer = problem.MakeScorer();
-  GF_ASSIGN_OR_RETURN(auto built,
-                      BuildLinkedPartition(problem, scorer, spec));
-  return PackageResult(problem, scorer, built.first,
-                       ConstrainedLabel(problem, spec));
-}
-
-StatusOr<FormationResult> RunFairConstrainedGreedy(
-    const FormationProblem& problem) {
-  const ConstraintSpec& spec = problem.constraints;
-  const grouprec::GroupScorer scorer = problem.MakeScorer();
-  GF_ASSIGN_OR_RETURN(auto built,
-                      BuildLinkedPartition(problem, scorer, spec));
-  Partition& partition = built.first;
-  const LinkContext& links = built.second;
-
-  int floor_violations = 0;
-  if (spec.has_min_user_sat) {
-    // One deterministic fairness pass (DESIGN.md §17.3): visit atoms in
-    // ascending representative order, relocate each whose members sit
-    // below the floor into the feasible group its members like most —
-    // strictly better than where they are — and report whatever remains
-    // below the floor afterwards. Lists are cached per group and
-    // invalidated on every move.
-    std::vector<grouprec::GroupTopK> lists(partition.groups.size());
-    std::vector<bool> fresh(partition.groups.size(), false);
-    const auto list_of = [&](int g) -> const grouprec::GroupTopK& {
-      const auto index = static_cast<std::size_t>(g);
-      if (!fresh[index]) {
-        lists[index] =
-            ComputeGroupList(problem, scorer, partition.groups[index]);
-        fresh[index] = true;
-      }
-      return lists[index];
-    };
-    const auto invalidate = [&](int g) {
-      const auto index = static_cast<std::size_t>(g);
-      if (index >= fresh.size()) {
-        fresh.resize(index + 1, false);
-        lists.resize(index + 1);
-      }
-      fresh[index] = false;
-    };
-    const auto atom_mean_sat = [&](const std::vector<UserId>& atom,
-                                   const grouprec::GroupTopK& list) {
-      return MeanAffinity(problem, atom, list);
-    };
-    for (const auto& [rep, atom] : links.atoms) {
-      const int current =
-          partition.group_of[static_cast<std::size_t>(rep)];
-      const double here = atom_mean_sat(atom, list_of(current));
-      // Relocation is for atoms below the floor; an atom whose mean
-      // already clears it stays put.
-      if (here >= spec.min_user_sat - kFloorSlack) continue;
-      const auto& source = partition.groups[static_cast<std::size_t>(
-          current)];
-      // The source must stay a legal group (or empty entirely).
-      const bool source_ok =
-          source.size() == atom.size() ||
-          static_cast<int>(source.size() - atom.size()) >=
-              spec.min_group_size;
-      if (!source_ok) continue;
-      double best_value = here;
-      int best = -1;
-      for (std::size_t h = 0; h < partition.groups.size(); ++h) {
-        if (static_cast<int>(h) == current) continue;
-        const auto& group = partition.groups[h];
-        if (group.empty()) continue;
-        if (spec.max_group_size > 0 &&
-            static_cast<int>(group.size() + atom.size()) >
-                spec.max_group_size) {
-          continue;
-        }
-        if (!ConflictFree(partition, links, atom,
-                          static_cast<int>(h))) {
-          continue;
-        }
-        const double value =
-            atom_mean_sat(atom, list_of(static_cast<int>(h)));
-        if (value > best_value + kFloorSlack) {
-          best_value = value;
-          best = static_cast<int>(h);
-        }
-      }
-      if (best >= 0) {
-        partition.MoveAtom(atom, best);
-        invalidate(current);
-        invalidate(best);
-      }
-    }
-    // Count what remains below the floor — infeasibility is reported,
-    // never silent.
-    for (std::size_t g = 0; g < partition.groups.size(); ++g) {
-      const auto& group = partition.groups[g];
-      if (group.empty()) continue;
-      const auto& list = list_of(static_cast<int>(g));
-      for (const UserId user : group) {
-        if (UserSatisfaction(problem, user, list) <
-            spec.min_user_sat - kFloorSlack) {
-          ++floor_violations;
-        }
-      }
-    }
-  }
-
-  FormationResult result = PackageResult(
-      problem, scorer, partition, ConstrainedLabel(problem, spec));
-  result.floor_violations = floor_violations;
-  return result;
-}
-
-StatusOr<FormationResult> CapGreedySolver::Solve(std::uint64_t) const {
-  const ConstraintSpec& spec = problem_.constraints;
-  if (spec.HasLinks() || spec.has_min_user_sat) {
+  if (member_ == Member::kCap && (spec.HasLinks() || spec.has_min_user_sat)) {
     return Status::InvalidArgument(
         "capgreedy supports size bounds only; use pairgreedy for link "
         "pairs and fairgreedy for a fairness floor");
   }
-  SizeConstraints sizes;
-  sizes.min_group_size = spec.min_group_size;
-  sizes.max_group_size = spec.max_group_size;
-  return RunSizeConstrainedGreedy(problem_, sizes);
-}
-
-StatusOr<FormationResult> PairGreedySolver::Solve(std::uint64_t) const {
-  return RunLinkConstrainedGreedy(problem_);
-}
-
-StatusOr<FormationResult> FairGreedySolver::Solve(std::uint64_t) const {
-  return RunFairConstrainedGreedy(problem_);
+  if (member_ == Member::kPair && spec.has_min_user_sat) {
+    return Status::InvalidArgument(
+        "pairgreedy does not support min_user_sat; use fairgreedy for a "
+        "fairness floor");
+  }
+  GF_RETURN_IF_ERROR(problem.Validate());
+  const std::int64_t num_users = problem.Store().num_users();
+  GF_RETURN_IF_ERROR(spec.Validate(num_users, problem.max_groups));
+  GF_ASSIGN_OR_RETURN(
+      LinkContext links,
+      BuildLinkContext(spec, num_users, spec.max_group_size));
+  GF_ASSIGN_OR_RETURN(FormationResult seed, RunGreedy(problem));
+  Partition partition = FromSeed(std::move(seed), num_users);
+  const grouprec::GroupScorer scorer = problem.MakeScorer();
+  if (member_ == Member::kCap) {
+    GF_RETURN_IF_ERROR(
+        CarveAndRebalance(problem, spec.max_group_size, partition));
+  } else {
+    GF_RETURN_IF_ERROR(
+        RepairLinks(problem, scorer, spec, links, partition));
+  }
+  GF_RETURN_IF_ERROR(
+      MergeUndersized(problem, scorer, spec, links, partition));
+  const int floor_violations =
+      spec.has_min_user_sat
+          ? RepairFloor(problem, scorer, spec, links, partition)
+          : 0;
+  FormationResult result = PackageResult(problem, scorer, partition,
+                                         ConstrainedLabel(problem, spec));
+  result.floor_violations = floor_violations;
+  return result;
 }
 
 }  // namespace groupform::core

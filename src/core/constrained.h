@@ -4,19 +4,19 @@
 // The constrained formation family (DESIGN.md §17): greedy seeds repaired
 // into deployment shapes — capacity bounds, must-link / cannot-link user
 // pairs, per-user fairness floors — plus the checker that keeps every
-// constrained solver honest. Three registry solvers wrap the runners:
+// constrained solver honest. Three registry names, strictly nested in
+// power, run one pipeline:
 //
-//   capgreedy   size bounds only         RunSizeConstrainedGreedy
-//   pairgreedy  sizes + link pairs       RunLinkConstrainedGreedy
-//   fairgreedy  sizes + links + floor    RunFairConstrainedGreedy
+//   capgreedy   size bounds only
+//   pairgreedy  sizes + link pairs
+//   fairgreedy  sizes + links + floor
 //
-// Each solver reads FormationProblem::constraints and rejects the parts
+// Each member reads FormationProblem::constraints and rejects the parts
 // of the spec it does not support with INVALID_ARGUMENT — never a
 // silently-violating OK. The fairness floor is soft: fairgreedy repairs
 // toward it and reports the residual count in
 // FormationResult::floor_violations.
 
-#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -24,18 +24,6 @@
 #include "core/solver.h"
 
 namespace groupform::core {
-
-/// Group-size constraints for deployments where group capacity is
-/// physical (a tour bus, a listening room): every formed group must have
-/// between min_group_size and max_group_size members. The size-only
-/// ancestor of ConstraintSpec, kept as capgreedy's native input.
-struct SizeConstraints {
-  int min_group_size = 1;
-  /// 0 = unbounded.
-  int max_group_size = 0;
-
-  common::Status Validate(const FormationProblem& problem) const;
-};
 
 /// A user's own satisfaction with a recommended list: mean own-rating
 /// over the list's items under the problem's missing policy (kZero
@@ -57,114 +45,59 @@ common::Status CheckPartition(const FormationProblem& problem,
                               const FormationResult& result,
                               int* floor_violations = nullptr);
 
-/// Forms groups with the greedy algorithm and then repairs size
-/// violations:
+/// The family's registry face. Every member runs the same pipeline over
+/// problem.constraints:
 ///
-///   * oversized groups are split into capacity-sized parts — free under
-///     LM (every subset of a greedy bucket keeps its score) and
-///     score-redistributing under AV — as long as spare group slots exist;
-///     when slots run out the overflow rebalances into groups with free
-///     capacity;
-///   * undersized groups are merged into the nearest larger group (the
-///     one whose recommended list the undersized members like most, by
-///     mean own-rating), and the merged group is re-scored.
+///   1. reject the spec parts the member does not support;
+///   2. problem.Validate(), then ConstraintSpec::Validate(n, max_groups)
+///      — the one size-feasibility check;
+///   3. must-link atoms (transitive closure of the pairs; without links
+///      every user is a singleton atom) and cannot-link adversaries,
+///      rejecting contradictory links and atoms above max_group_size;
+///   4. greedy seed;
+///   5. oversize repair, the one member-specific step:
+///      * capgreedy carves capacity-sized parts off the back of oversized
+///        groups while spare group slots exist (free under LM, score-
+///        redistributing under AV), then rebalances the overflow first-fit
+///        into groups with free capacity;
+///      * pairgreedy / fairgreedy consolidate each multi-member atom into
+///        the group holding most of it (ties to the lowest index),
+///        separate co-resident cannot-link pairs by moving the smaller
+///        atom to its best conflict-free group, and shed atoms from
+///        oversized groups into their best feasible group;
+///   6. undersize merge: smallest undersized group first, into the
+///      feasible group (capacity + links) whose current list its members
+///      like most by mean own-rating, ties to the lowest index;
+///   7. fairgreedy only: one fairness pass relocating every atom below
+///      min_user_sat into the feasible group its members like best (the
+///      source either stays >= min_group_size or empties), then counting
+///      the users still below the floor into floor_violations;
+///   8. honest packaging: every group's list and score recomputed, so the
+///      objective is the true objective of the constrained partition.
 ///
-/// The repaired partition is re-scored honestly: the returned objective is
-/// the true objective of the constrained partition, which can be below
-/// the unconstrained greedy's. Fails with INVALID_ARGUMENT when the
-/// constraints are unsatisfiable (n < min_group_size, max_group_size *
-/// max_groups < n, or a repair dead-ends), always naming the bound and
-/// the offending numbers.
-common::StatusOr<FormationResult> RunSizeConstrainedGreedy(
-    const FormationProblem& problem, const SizeConstraints& constraints);
-
-/// Link-aware bucket assembly over problem.constraints (sizes + links;
-/// INVALID_ARGUMENT if the spec carries a fairness floor — that is
-/// fairgreedy's job). Must-link users move as atoms (transitive closure
-/// of the pairs), cannot-link pairs repel at assignment time:
-///
-///   1. greedy seed;
-///   2. each multi-member atom consolidates into the group holding most
-///      of its members (ties to the lowest group index);
-///   3. every co-resident cannot-link pair is separated by moving the
-///      offending atom to its best conflict-free group (highest mean
-///      own-rating for the target's current list, capacity respected) —
-///      one sweep suffices because every placement is conflict-checked;
-///   4. atom-aware size repair (split/rebalance/merge as above, atoms
-///      never split).
-///
-/// INVALID_ARGUMENT when the links are contradictory (a must-link
-/// closure containing a cannot-link pair, an atom larger than the
-/// capacity) or a repair dead-ends; the message names the users/bounds.
-common::StatusOr<FormationResult> RunLinkConstrainedGreedy(
-    const FormationProblem& problem);
-
-/// The full family (sizes + links + fairness floor): the pairgreedy
-/// pipeline, then a deterministic fairness pass relocating every user
-/// whose UserSatisfaction sits below constraints.min_user_sat into their
-/// best feasible group (capacity + links respected, the source group
-/// either stays >= min_group_size or empties; users in multi-member
-/// atoms move with their atom). Users still below the floor afterwards
-/// are counted in FormationResult::floor_violations — the floor is soft,
-/// infeasibility is reported, never silent.
-common::StatusOr<FormationResult> RunFairConstrainedGreedy(
-    const FormationProblem& problem);
-
-/// The registry faces. Each binds the problem at construction and runs
-/// its runner per Solve; all three are deterministic (the seed is
-/// ignored) and byte-identical at every thread count.
-class CapGreedySolver : public FormationSolver {
+/// Every rejection is INVALID_ARGUMENT naming the bound, users and
+/// numbers involved. All members are deterministic (the seed is ignored)
+/// and byte-identical at every thread count.
+class ConstrainedGreedySolver : public FormationSolver {
  public:
-  static constexpr char kRegistryName[] = "capgreedy";
-  static constexpr char kSolverDescription[] =
-      "size-constrained greedy: GRD seed + split/rebalance/merge repair "
-      "(constraints: size bounds)";
+  enum class Member { kCap, kPair, kFair };
+  static constexpr Member kMembers[] = {Member::kCap, Member::kPair,
+                                        Member::kFair};
 
-  explicit CapGreedySolver(const FormationProblem& problem)
-      : problem_(problem) {}
+  /// "capgreedy", "pairgreedy", "fairgreedy" and their descriptions.
+  static const char* RegistryName(Member member);
+  static const char* Description(Member member);
+
+  ConstrainedGreedySolver(const FormationProblem& problem, Member member)
+      : problem_(problem), member_(member) {}
 
   common::StatusOr<FormationResult> Solve(std::uint64_t seed) const override;
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
+  std::string name() const override { return RegistryName(member_); }
+  std::string description() const override { return Description(member_); }
 
  private:
   const FormationProblem& problem_;
-};
-
-class PairGreedySolver : public FormationSolver {
- public:
-  static constexpr char kRegistryName[] = "pairgreedy";
-  static constexpr char kSolverDescription[] =
-      "link-aware greedy: must-link atoms, cannot-link repulsion, "
-      "atom-aware size repair (constraints: sizes + link pairs)";
-
-  explicit PairGreedySolver(const FormationProblem& problem)
-      : problem_(problem) {}
-
-  common::StatusOr<FormationResult> Solve(std::uint64_t seed) const override;
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-
- private:
-  const FormationProblem& problem_;
-};
-
-class FairGreedySolver : public FormationSolver {
- public:
-  static constexpr char kRegistryName[] = "fairgreedy";
-  static constexpr char kSolverDescription[] =
-      "fairness-floor greedy: link-aware pipeline + per-user floor "
-      "relocation, residual violations reported (full ConstraintSpec)";
-
-  explicit FairGreedySolver(const FormationProblem& problem)
-      : problem_(problem) {}
-
-  common::StatusOr<FormationResult> Solve(std::uint64_t seed) const override;
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-
- private:
-  const FormationProblem& problem_;
+  Member member_;
 };
 
 }  // namespace groupform::core

@@ -9,24 +9,6 @@
 
 namespace groupform::core {
 
-namespace {
-
-/// The constrained family shares one factory shape: bind the problem,
-/// read FormationProblem::constraints at Solve time (so empty specs run
-/// like plain greedy and the registry-wide determinism matrix pins the
-/// solvers with no extra plumbing).
-template <typename Solver>
-void RegisterConstrained() {
-  (void)SolverRegistry::Global().Register(
-      Solver::kRegistryName, Solver::kSolverDescription,
-      [](const FormationProblem& problem, const SolverOptions&) {
-        return common::StatusOr<std::unique_ptr<FormationSolver>>(
-            std::make_unique<Solver>(problem));
-      });
-}
-
-}  // namespace
-
 void RegisterCoreSolvers() {
   // Duplicate registration (e.g. a test calling this directly after the
   // umbrella init already ran) is benign: the first registration wins.
@@ -36,9 +18,20 @@ void RegisterCoreSolvers() {
         return common::StatusOr<std::unique_ptr<FormationSolver>>(
             std::make_unique<GreedyFormer>(problem));
       });
-  RegisterConstrained<CapGreedySolver>();
-  RegisterConstrained<PairGreedySolver>();
-  RegisterConstrained<FairGreedySolver>();
+  // The constrained family: one solver class, three registry names. Each
+  // reads FormationProblem::constraints at Solve time, so an empty spec
+  // runs like plain greedy and the registry-wide determinism matrix pins
+  // the family with no extra plumbing.
+  using Member = ConstrainedGreedySolver::Member;
+  for (const Member member : ConstrainedGreedySolver::kMembers) {
+    (void)SolverRegistry::Global().Register(
+        ConstrainedGreedySolver::RegistryName(member),
+        ConstrainedGreedySolver::Description(member),
+        [member](const FormationProblem& problem, const SolverOptions&) {
+          return common::StatusOr<std::unique_ptr<FormationSolver>>(
+              std::make_unique<ConstrainedGreedySolver>(problem, member));
+        });
+  }
 }
 
 }  // namespace groupform::core

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <vector>
 
 #include "common/strings.h"
 
@@ -12,9 +11,6 @@ namespace {
 
 using common::Status;
 using common::StatusOr;
-
-constexpr char kMagic[4] = {'G', 'F', 'R', 'M'};
-constexpr std::uint32_t kVersion = 1;
 
 constexpr char kCompactMagic[4] = {'G', 'F', 'C', 'M'};
 constexpr std::uint32_t kCompactVersion = 1;
@@ -25,112 +21,7 @@ void Append(std::string& buffer, const T& value) {
   buffer.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-bool ReadValue(const std::string& buffer, std::size_t& pos, T* out) {
-  if (pos + sizeof(T) > buffer.size()) return false;
-  std::memcpy(out, buffer.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
-}
-
 }  // namespace
-
-Status SaveMatrixBinary(const RatingMatrix& matrix,
-                        const std::string& path) {
-  std::string buffer;
-  buffer.reserve(64 + static_cast<std::size_t>(matrix.num_ratings()) * 12);
-  buffer.append(kMagic, sizeof(kMagic));
-  Append(buffer, kVersion);
-  Append(buffer, static_cast<std::uint32_t>(matrix.num_users()));
-  Append(buffer, static_cast<std::uint32_t>(matrix.num_items()));
-  Append(buffer, matrix.scale().min);
-  Append(buffer, matrix.scale().max);
-  Append(buffer, static_cast<std::uint64_t>(matrix.num_ratings()));
-  for (UserId u = 0; u < matrix.num_users(); ++u) {
-    Append(buffer, static_cast<std::uint32_t>(matrix.NumRatingsOf(u)));
-  }
-  for (UserId u = 0; u < matrix.num_users(); ++u) {
-    for (const auto& entry : matrix.RatingsOf(u)) {
-      Append(buffer, static_cast<std::uint32_t>(entry.item));
-      Append(buffer, entry.rating);
-    }
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Internal("cannot open " + path);
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (!out) return Status::DataLoss("short write to " + path);
-  return Status::Ok();
-}
-
-StatusOr<RatingMatrix> LoadMatrixBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::string buffer((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-
-  std::size_t pos = 0;
-  if (buffer.size() < sizeof(kMagic) ||
-      std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss("bad magic in " + path);
-  }
-  pos += sizeof(kMagic);
-  std::uint32_t version = 0;
-  std::uint32_t num_users = 0;
-  std::uint32_t num_items = 0;
-  double scale_min = 0.0;
-  double scale_max = 0.0;
-  std::uint64_t num_ratings = 0;
-  if (!ReadValue(buffer, pos, &version) ||
-      !ReadValue(buffer, pos, &num_users) ||
-      !ReadValue(buffer, pos, &num_items) ||
-      !ReadValue(buffer, pos, &scale_min) ||
-      !ReadValue(buffer, pos, &scale_max) ||
-      !ReadValue(buffer, pos, &num_ratings)) {
-    return Status::DataLoss("truncated header in " + path);
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument(
-        common::StrFormat("unsupported version %u", version));
-  }
-  if (scale_min > scale_max) {
-    return Status::DataLoss("inverted rating scale");
-  }
-
-  std::vector<std::uint32_t> row_counts(num_users);
-  std::uint64_t total = 0;
-  for (auto& count : row_counts) {
-    if (!ReadValue(buffer, pos, &count)) {
-      return Status::DataLoss("truncated row counts in " + path);
-    }
-    total += count;
-  }
-  if (total != num_ratings) {
-    return Status::DataLoss(common::StrFormat(
-        "row counts sum to %llu, header says %llu",
-        static_cast<unsigned long long>(total),
-        static_cast<unsigned long long>(num_ratings)));
-  }
-
-  RatingMatrixBuilder builder(static_cast<std::int32_t>(num_users),
-                              static_cast<std::int32_t>(num_items),
-                              RatingScale{scale_min, scale_max});
-  for (std::uint32_t u = 0; u < num_users; ++u) {
-    for (std::uint32_t i = 0; i < row_counts[u]; ++i) {
-      std::uint32_t item = 0;
-      double rating = 0.0;
-      if (!ReadValue(buffer, pos, &item) ||
-          !ReadValue(buffer, pos, &rating)) {
-        return Status::DataLoss("truncated entries in " + path);
-      }
-      GF_RETURN_IF_ERROR(builder.AddRating(
-          static_cast<UserId>(u), static_cast<ItemId>(item), rating));
-    }
-  }
-  if (pos != buffer.size()) {
-    return Status::DataLoss("trailing bytes in " + path);
-  }
-  return std::move(builder).Build();
-}
 
 Status SaveCompactBinary(const CompactRatingMatrix& matrix,
                          const std::string& path) {

@@ -5,30 +5,8 @@
 
 #include "common/status.h"
 #include "data/compact_matrix.h"
-#include "data/rating_matrix.h"
 
 namespace groupform::data {
-
-/// Compact binary snapshot of a RatingMatrix, for caching the expensive
-/// parts of a pipeline (synthetic generation at paper scale, predictor
-/// densification) between runs.
-///
-/// Format (little-endian, fixed-width):
-///   magic   "GFRM" (4 bytes)
-///   version u32 (currently 1)
-///   num_users u32, num_items u32
-///   scale_min f64, scale_max f64
-///   num_ratings u64
-///   row_counts  u32[num_users]
-///   entries     (item u32, rating f64)[num_ratings], CSR order
-///
-/// Loading validates the magic, version, counts, item ranges, and rating
-/// scale; a truncated or corrupted file fails with DATA_LOSS rather than
-/// producing a silently wrong matrix.
-common::Status SaveMatrixBinary(const RatingMatrix& matrix,
-                                const std::string& path);
-
-common::StatusOr<RatingMatrix> LoadMatrixBinary(const std::string& path);
 
 /// Versioned on-disk snapshot of a CompactRatingMatrix — the serving
 /// artifact for instances too large to parse or hold dense

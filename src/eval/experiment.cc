@@ -11,50 +11,9 @@
 
 namespace groupform::eval {
 
-const char* AlgorithmKindToString(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kGreedy:
-      return "GRD";
-    case AlgorithmKind::kBaseline:
-      return "Baseline";
-    case AlgorithmKind::kExactDp:
-      return "OPT";
-    case AlgorithmKind::kLocalSearch:
-      return "OPT*";
-    case AlgorithmKind::kSimulatedAnnealing:
-      return "SA";
-    case AlgorithmKind::kBranchAndBound:
-      return "BNB";
-    case AlgorithmKind::kVectorKMeans:
-      return "VecKMeans";
-  }
-  return "?";
-}
-
-const char* AlgorithmKindToRegistryName(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kGreedy:
-      return "greedy";
-    case AlgorithmKind::kBaseline:
-      return "baseline";
-    case AlgorithmKind::kExactDp:
-      return "exact";
-    case AlgorithmKind::kLocalSearch:
-      return "localsearch";
-    case AlgorithmKind::kSimulatedAnnealing:
-      return "sa";
-    case AlgorithmKind::kBranchAndBound:
-      return "bnb";
-    case AlgorithmKind::kVectorKMeans:
-      return "veckmeans";
-  }
-  return "?";
-}
-
 std::string SolverDisplayLabel(const std::string& registry_name) {
-  // The inverse of AlgorithmKindToRegistryName over the enum's range,
-  // plus the registered-but-unlabelled "brute"; pinned against the enum by
-  // the registry-drift test so the two shims cannot diverge.
+  // Every key is a registered solver; the drift test in
+  // experiment_test.cc pins the table against the registry.
   static const std::map<std::string, std::string> kLabels = {
       {"greedy", "GRD"},       {"baseline", "Baseline"},
       {"exact", "OPT"},        {"localsearch", "OPT*"},

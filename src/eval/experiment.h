@@ -10,43 +10,11 @@
 
 namespace groupform::eval {
 
-/// The algorithm families the paper compares (§7 "Algorithms Compared").
-/// This enum is a paper-label shim ONLY: it exists so documentation, error
-/// messages, and the registry-drift tests can speak the paper's vocabulary
-/// ("GRD", "OPT*"). Nothing dispatches on it — eval, bench, tools, and
-/// tests all run solvers by registry name (RunAlgorithmByName /
-/// eval::RunSweep), so a newly registered solver is reachable everywhere
-/// without this enum ever learning about it.
-enum class AlgorithmKind {
-  /// GRD-{LM,AV}-{MAX,MIN,SUM} — the paper's contribution.
-  kGreedy,
-  /// Baseline-{LM,AV}-* — Kendall-Tau + clustering.
-  kBaseline,
-  /// OPT — provably optimal subset DP (small instances only).
-  kExactDp,
-  /// OPT* — greedy-seeded local search, the scalable optimal reference.
-  kLocalSearch,
-  /// SA — simulated annealing (greedy-seeded Metropolis search).
-  kSimulatedAnnealing,
-  /// BNB — exact branch and bound (small instances).
-  kBranchAndBound,
-  /// VecKMeans — preference-vector k-means ad-hoc formation.
-  kVectorKMeans,
-};
-
-/// The paper's display label: "GRD", "OPT", "OPT*", ...
-const char* AlgorithmKindToString(AlgorithmKind kind);
-
-/// The core::SolverRegistry name the kind labels: "greedy", "exact",
-/// "localsearch", ... Tests pin that every kind resolves to a registered
-/// solver (no drift between the enum and the registry).
-const char* AlgorithmKindToRegistryName(AlgorithmKind kind);
-
-/// The paper display label for a registry name ("greedy" -> "GRD",
-/// "localsearch" -> "OPT*"); names the paper never printed (including
-/// runtime-registered solvers) display as themselves. Inverse of
-/// AlgorithmKindToRegistryName over the enum's range, pinned by the
-/// registry-drift test.
+/// The paper display label (§7 "Algorithms Compared") for a registry
+/// name ("greedy" -> "GRD", "localsearch" -> "OPT*"); names the paper
+/// never printed (including runtime-registered solvers) display as
+/// themselves. Labels are presentation only — nothing dispatches on
+/// them; every surface runs solvers by registry name.
 std::string SolverDisplayLabel(const std::string& registry_name);
 
 /// Canonical column order for sweeps and reports: the paper's families

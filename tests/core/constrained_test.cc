@@ -1,19 +1,41 @@
-// Size-constrained formation: constraint satisfaction, honest re-scoring,
-// and infeasibility detection.
+// Size-constrained formation through the capgreedy registry solver:
+// constraint satisfaction, honest re-scoring, and infeasibility detection,
+// plus the family-wide rule that every member rejects an infeasible spec
+// with the same message.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/constrained.h"
 #include "core/greedy.h"
 #include "data/synthetic.h"
+#include "eval/experiment.h"
 #include "grouprec/semantics.h"
+#include "solvers/builtin.h"
 
 namespace groupform {
 namespace {
 
+using core::ConstraintSpec;
 using core::FormationProblem;
-using core::SizeConstraints;
 using grouprec::Aggregation;
 using grouprec::Semantics;
+
+/// Runs registry solver `solver` on `problem` under `constraints`.
+common::StatusOr<core::FormationResult> RunConstrained(
+    const std::string& solver, FormationProblem problem,
+    const ConstraintSpec& constraints) {
+  solvers::EnsureBuiltinSolversRegistered();
+  problem.constraints = constraints;
+  GF_ASSIGN_OR_RETURN(auto outcome,
+                      eval::RunAlgorithmByName(solver, problem));
+  return outcome.result;
+}
+
+common::StatusOr<core::FormationResult> RunCapGreedy(
+    const FormationProblem& problem, const ConstraintSpec& constraints) {
+  return RunConstrained("capgreedy", problem, constraints);
+}
 
 FormationProblem Problem(const data::RatingMatrix& matrix,
                          Semantics semantics, Aggregation aggregation, int k,
@@ -28,7 +50,7 @@ FormationProblem Problem(const data::RatingMatrix& matrix,
 }
 
 void ExpectSizesWithin(const core::FormationResult& result,
-                       const SizeConstraints& constraints) {
+                       const ConstraintSpec& constraints) {
   for (const auto& g : result.groups) {
     EXPECT_GE(static_cast<int>(g.members.size()),
               constraints.min_group_size);
@@ -46,11 +68,11 @@ TEST(SizeConstrained, EnforcesMinimumAndMaximum) {
        {Semantics::kLeastMisery, Semantics::kAggregateVoting}) {
     const auto problem =
         Problem(matrix, semantics, Aggregation::kMin, 4, 20);
-    SizeConstraints constraints;
+    ConstraintSpec constraints;
     constraints.min_group_size = 5;
     constraints.max_group_size = 40;
     const auto result =
-        core::RunSizeConstrainedGreedy(problem, constraints);
+        RunCapGreedy(problem, constraints);
     ASSERT_TRUE(result.ok()) << result.status();
     ExpectSizesWithin(*result, constraints);
     EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
@@ -66,7 +88,7 @@ TEST(SizeConstrained, UnconstrainedEqualsPlainGreedy) {
   const auto problem =
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMax, 3, 8);
   const auto constrained =
-      core::RunSizeConstrainedGreedy(problem, SizeConstraints{});
+      RunCapGreedy(problem, ConstraintSpec{});
   const auto greedy = core::RunGreedy(problem);
   ASSERT_TRUE(constrained.ok());
   ASSERT_TRUE(greedy.ok());
@@ -86,9 +108,9 @@ TEST(SizeConstrained, MaxSizeRepairCostsLittleUnderLm) {
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMax, 3, 30);
   const auto greedy = core::RunGreedy(problem);
   ASSERT_TRUE(greedy.ok());
-  SizeConstraints constraints;
+  ConstraintSpec constraints;
   constraints.max_group_size = 20;
-  const auto result = core::RunSizeConstrainedGreedy(problem, constraints);
+  const auto result = RunCapGreedy(problem, constraints);
   ASSERT_TRUE(result.ok()) << result.status();
   ExpectSizesWithin(*result, constraints);
   EXPECT_GE(result->objective, 0.85 * greedy->objective);
@@ -103,22 +125,22 @@ TEST(SizeConstrained, RejectsInfeasibleConstraints) {
       data::YahooMusicLikeConfig(100, 30, 507));
   const auto problem =
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMin, 3, 4);
-  SizeConstraints too_small_cap;
+  ConstraintSpec too_small_cap;
   too_small_cap.max_group_size = 10;  // 4 groups x 10 < 100 users
-  EXPECT_EQ(core::RunSizeConstrainedGreedy(problem, too_small_cap)
+  EXPECT_EQ(RunCapGreedy(problem, too_small_cap)
                 .status()
                 .code(),
             common::StatusCode::kInvalidArgument);
 
-  SizeConstraints inverted;
+  ConstraintSpec inverted;
   inverted.min_group_size = 10;
   inverted.max_group_size = 5;
   EXPECT_FALSE(
-      core::RunSizeConstrainedGreedy(problem, inverted).ok());
+      RunCapGreedy(problem, inverted).ok());
 
-  SizeConstraints zero_min;
+  ConstraintSpec zero_min;
   zero_min.min_group_size = 0;
-  EXPECT_FALSE(core::RunSizeConstrainedGreedy(problem, zero_min).ok());
+  EXPECT_FALSE(RunCapGreedy(problem, zero_min).ok());
 }
 
 TEST(SizeConstrained, TightCapacityRebalancesWithoutSpareSlots) {
@@ -128,12 +150,41 @@ TEST(SizeConstrained, TightCapacityRebalancesWithoutSpareSlots) {
       data::YahooMusicLikeConfig(60, 30, 509));
   const auto problem =
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMin, 3, 6);
-  SizeConstraints constraints;
+  ConstraintSpec constraints;
   constraints.max_group_size = 10;
-  const auto result = core::RunSizeConstrainedGreedy(problem, constraints);
+  const auto result = RunCapGreedy(problem, constraints);
   ASSERT_TRUE(result.ok()) << result.status();
   ExpectSizesWithin(*result, constraints);
   EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
+}
+
+TEST(ConstrainedFamily, InfeasibleSpecsAnswerOneMessageUnderEveryMember) {
+  // The family shares one size-feasibility check, so an unsatisfiable
+  // capacity or minimum size reads the same whichever member is asked.
+  const auto crowd = data::GenerateLatentFactor(
+      data::YahooMusicLikeConfig(70, 30, 511));
+  const auto few = data::GenerateLatentFactor(
+      data::YahooMusicLikeConfig(7, 20, 513));
+  ConstraintSpec capacity;
+  capacity.max_group_size = 5;
+  ConstraintSpec population;
+  population.min_group_size = 9;
+  for (const char* solver : {"capgreedy", "pairgreedy", "fairgreedy"}) {
+    SCOPED_TRACE(solver);
+    const auto over = RunConstrained(
+        solver, Problem(crowd, Semantics::kLeastMisery, Aggregation::kMin, 3, 6),
+        capacity);
+    EXPECT_EQ(over.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(over.status().message(),
+              "max_group_size=5 cannot hold 70 users within 6 groups "
+              "(capacity 30)");
+    const auto under = RunConstrained(
+        solver, Problem(few, Semantics::kAggregateVoting, Aggregation::kSum, 3, 3),
+        population);
+    EXPECT_EQ(under.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(under.status().message(),
+              "min_group_size=9 exceeds the population of 7 users");
+  }
 }
 
 }  // namespace

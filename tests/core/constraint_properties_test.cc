@@ -71,14 +71,14 @@ ConstraintSpec SpecFor(const std::string& solver, int index, int n) {
   if (index % 4 != 0) {
     spec.max_group_size = (n + kMaxGroups - 1) / kMaxGroups + index % 5;
   }
-  if (solver != core::CapGreedySolver::kRegistryName) {
+  if (solver != "capgreedy") {
     for (int p = 0; p <= index % 3; ++p) {
       spec.must_link.push_back({2 * p, 2 * p + 1});
     }
     if (index % 2 == 1) spec.cannot_link.push_back({n - 1, n - 2});
     if (index % 3 == 2) spec.cannot_link.push_back({n - 3, n - 4});
   }
-  if (solver == core::FairGreedySolver::kRegistryName && index % 2 == 0) {
+  if (solver == "fairgreedy" && index % 2 == 0) {
     spec.has_min_user_sat = true;
     spec.min_user_sat = 1.5 + 0.5 * (index % 4);
   }
@@ -150,15 +150,15 @@ void RunHarness(const std::string& solver) {
 }
 
 TEST(ConstraintProperties, CapGreedySatisfiesSpecOrRejects) {
-  RunHarness(core::CapGreedySolver::kRegistryName);
+  RunHarness("capgreedy");
 }
 
 TEST(ConstraintProperties, PairGreedySatisfiesSpecOrRejects) {
-  RunHarness(core::PairGreedySolver::kRegistryName);
+  RunHarness("pairgreedy");
 }
 
 TEST(ConstraintProperties, FairGreedySatisfiesSpecOrRejects) {
-  RunHarness(core::FairGreedySolver::kRegistryName);
+  RunHarness("fairgreedy");
 }
 
 // --- Per-solver unsupported spec parts: INVALID_ARGUMENT that names the

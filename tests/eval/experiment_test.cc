@@ -1,13 +1,13 @@
 // Experiment dispatcher: every registered solver runs, is timed, and
-// repeats deterministically — dispatch is pure registry lookup (by name,
-// never by enum), so a solver registered at runtime is reachable without
-// touching eval/ or tools/. AlgorithmKind survives only as the
-// paper-label shim, pinned against the registry by the drift tests.
+// repeats deterministically — dispatch is pure registry lookup by name,
+// so a solver registered at runtime is reachable without touching eval/
+// or tools/. The paper display labels are pinned against the registry by
+// the drift test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <set>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -20,13 +20,6 @@ namespace groupform {
 namespace {
 
 using core::FormationProblem;
-using eval::AlgorithmKind;
-
-constexpr AlgorithmKind kAllKinds[] = {
-    AlgorithmKind::kGreedy,         AlgorithmKind::kBaseline,
-    AlgorithmKind::kExactDp,        AlgorithmKind::kLocalSearch,
-    AlgorithmKind::kSimulatedAnnealing,
-    AlgorithmKind::kBranchAndBound, AlgorithmKind::kVectorKMeans};
 
 FormationProblem SmallProblem(const data::RatingMatrix& matrix) {
   FormationProblem problem;
@@ -85,43 +78,19 @@ TEST(RunRepeated, AveragesOverRepetitions) {
   EXPECT_FALSE(repeated->last_result.groups.empty());
 }
 
-TEST(AlgorithmKindToString, Names) {
-  EXPECT_STREQ(eval::AlgorithmKindToString(AlgorithmKind::kGreedy), "GRD");
-  EXPECT_STREQ(eval::AlgorithmKindToString(AlgorithmKind::kBaseline),
-               "Baseline");
-  EXPECT_STREQ(eval::AlgorithmKindToString(AlgorithmKind::kExactDp), "OPT");
-  EXPECT_STREQ(eval::AlgorithmKindToString(AlgorithmKind::kLocalSearch),
-               "OPT*");
-  EXPECT_STREQ(
-      eval::AlgorithmKindToString(AlgorithmKind::kSimulatedAnnealing),
-      "SA");
-  EXPECT_STREQ(eval::AlgorithmKindToString(AlgorithmKind::kBranchAndBound),
-               "BNB");
-  EXPECT_STREQ(eval::AlgorithmKindToString(AlgorithmKind::kVectorKMeans),
-               "VecKMeans");
-}
-
-TEST(SolverRegistryCoverage, EveryAlgorithmKindResolvesToARegisteredSolver) {
-  // Pins the enum and the registry together: a kind whose registry name is
-  // missing would silently drift the paper labels from the solver set.
+TEST(SolverRegistryCoverage, DisplayLabelsMatchThePaperVocabulary) {
+  // Every labelled name is a registered solver, and the sweep columns read
+  // exactly like the paper (§7 "Algorithms Compared").
   solvers::EnsureBuiltinSolversRegistered();
   const auto& registry = core::SolverRegistry::Global();
-  for (const auto kind : kAllKinds) {
-    const char* name = eval::AlgorithmKindToRegistryName(kind);
-    EXPECT_TRUE(registry.Contains(name))
-        << eval::AlgorithmKindToString(kind) << " maps to unregistered '"
-        << name << "'";
-  }
-}
-
-TEST(SolverRegistryCoverage, DisplayLabelsMatchThePaperVocabulary) {
-  // SolverDisplayLabel is the inverse of AlgorithmKindToRegistryName over
-  // the enum's range: the sweep columns must read exactly like the paper.
-  for (const auto kind : kAllKinds) {
-    EXPECT_EQ(
-        eval::SolverDisplayLabel(eval::AlgorithmKindToRegistryName(kind)),
-        eval::AlgorithmKindToString(kind))
-        << eval::AlgorithmKindToString(kind);
+  const std::pair<const char*, const char*> kPaperLabels[] = {
+      {"greedy", "GRD"},      {"baseline", "Baseline"},
+      {"exact", "OPT"},       {"localsearch", "OPT*"},
+      {"sa", "SA"},           {"bnb", "BNB"},
+      {"veckmeans", "VecKMeans"}, {"brute", "Brute"}};
+  for (const auto& [name, label] : kPaperLabels) {
+    EXPECT_TRUE(registry.Contains(name)) << name << " is not registered";
+    EXPECT_EQ(eval::SolverDisplayLabel(name), label) << name;
   }
   // Unknown names display as themselves (runtime-registered solvers).
   EXPECT_EQ(eval::SolverDisplayLabel("my-new-solver"), "my-new-solver");
@@ -133,15 +102,6 @@ TEST(SolverRegistryCoverage, DisplayOrderIsPaperFirstThenAlphabetical) {
   const std::vector<std::string> expected = {
       "greedy", "baseline", "localsearch", "alpha-solver", "zeta-solver"};
   EXPECT_EQ(ordered, expected);
-}
-
-TEST(SolverRegistryCoverage, RegistryNamesAreUniquePerKind) {
-  std::set<std::string> names;
-  for (const auto kind : kAllKinds) {
-    EXPECT_TRUE(names.insert(eval::AlgorithmKindToRegistryName(kind)).second)
-        << "duplicate registry name for "
-        << eval::AlgorithmKindToString(kind);
-  }
 }
 
 /// Stub proving the acceptance criterion of the registry refactor: a

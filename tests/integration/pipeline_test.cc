@@ -1,23 +1,21 @@
 // End-to-end pipeline: generate sparse data -> train a predictor ->
-// densify -> snapshot to disk -> reload -> form groups (several solvers)
-// -> evaluate -> expand with overlaps. Exercises the seams between the
-// modules rather than any one module.
-#include <cstdio>
-
+// densify -> form groups (several solvers) -> evaluate -> expand with
+// overlaps. Exercises the seams between the modules rather than any one
+// module.
 #include <gtest/gtest.h>
 
 #include "baseline/cluster_baseline.h"
-#include "core/constrained.h"
 #include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/overlap.h"
-#include "data/binary_io.h"
 #include "data/synthetic.h"
+#include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "eval/weighted_objective.h"
 #include "exact/local_search.h"
 #include "recsys/matrix_factorization.h"
 #include "recsys/predictor.h"
+#include "solvers/builtin.h"
 
 namespace groupform {
 namespace {
@@ -37,27 +35,15 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   const auto dense = recsys::DensifyWithPredictions(sparse, predictor, 40);
   ASSERT_GT(dense.num_ratings(), sparse.num_ratings());
 
-  // 3. Snapshot to disk and reload; formation must be identical on both.
-  const std::string path = testing::TempDir() + "/pipeline.gfrm";
-  ASSERT_TRUE(data::SaveMatrixBinary(dense, path).ok());
-  const auto reloaded = data::LoadMatrixBinary(path);
-  ASSERT_TRUE(reloaded.ok());
-  std::remove(path.c_str());
-
+  // 3. Form groups on the densified matrix.
   core::FormationProblem problem;
   problem.matrix = &dense;
   problem.semantics = grouprec::Semantics::kLeastMisery;
   problem.aggregation = grouprec::Aggregation::kMax;
   problem.k = 5;
   problem.max_groups = 12;
-  core::FormationProblem reloaded_problem = problem;
-  reloaded_problem.matrix = &*reloaded;
-
   const auto formed = core::RunGreedy(problem);
-  const auto formed_reloaded = core::RunGreedy(reloaded_problem);
   ASSERT_TRUE(formed.ok());
-  ASSERT_TRUE(formed_reloaded.ok());
-  EXPECT_DOUBLE_EQ(formed->objective, formed_reloaded->objective);
 
   // 4. The solution validates, and the solver ladder behaves.
   EXPECT_TRUE(core::ValidatePartition(problem, *formed).ok());
@@ -125,11 +111,12 @@ TEST(Pipeline, ConstrainedFormationFeedsTheGroupBudget) {
   problem.aggregation = grouprec::Aggregation::kMax;
   problem.k = 5;
   problem.max_groups = 12;
-  core::SizeConstraints constraints;
-  constraints.min_group_size = 8;
-  constraints.max_group_size = 40;
-  const auto result = core::RunSizeConstrainedGreedy(problem, constraints);
-  ASSERT_TRUE(result.ok()) << result.status();
+  problem.constraints.min_group_size = 8;
+  problem.constraints.max_group_size = 40;
+  solvers::EnsureBuiltinSolversRegistered();
+  const auto outcome = eval::RunAlgorithmByName("capgreedy", problem);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  const auto* result = &outcome->result;
   for (const auto& g : result->groups) {
     EXPECT_GE(g.members.size(), 8u);
     EXPECT_LE(g.members.size(), 40u);
