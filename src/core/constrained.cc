@@ -269,8 +269,9 @@ Status CarveAndRebalance(const FormationProblem& problem, int cap,
       progress = true;
     }
   }
-  // ConstraintSpec::Validate guarantees max_groups * cap seats, so some
-  // group always has room for the overflow.
+  // ConstraintSpec::Validate guarantees max_groups * cap seats and the
+  // carve loop only stops once every slot is used, so some group always
+  // has room; the error below guards that invariant.
   for (std::size_t g = 0; g < groups.size(); ++g) {
     while (groups[g].size() > size_cap) {
       std::size_t target = 0;
