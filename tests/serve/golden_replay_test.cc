@@ -3,7 +3,12 @@
 // and the answer must equal the golden response line byte for byte. The
 // smoke goldens pin every response state; the metrics goldens pin the four
 // full-precision response metrics for every registry solver × LM/AV × the
-// three missing-rating policies.
+// three missing-rating policies; the search goldens pin localsearch and
+// sa, greedy-seeded and from a random split, over LM/AV × the missing
+// policies × the aggregations × the dense and compact backends, plus the
+// edge cases of their move scoring (candidate_depth > 0, k above the
+// catalogue, more group slots than users, shared item minima, a scale
+// with a negative minimum).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -49,6 +54,8 @@ TEST(GoldenReplay, MetricsGoldens) { ExpectReplayMatches("metrics"); }
 TEST(GoldenReplay, ConstrainedGoldens) {
   ExpectReplayMatches("constrained");
 }
+
+TEST(GoldenReplay, SearchGoldens) { ExpectReplayMatches("search"); }
 
 }  // namespace
 }  // namespace groupform::serve
