@@ -9,6 +9,7 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/greedy.h"
+#include "exact/move_evaluator.h"
 
 namespace groupform::exact {
 namespace {
@@ -24,26 +25,16 @@ struct State {
   double objective = 0.0;
 };
 
-double Evaluate(const core::FormationProblem& problem,
-                const grouprec::GroupScorer& scorer,
-                const std::vector<UserId>& members) {
-  if (members.empty()) return 0.0;
-  const auto list = core::ComputeGroupList(problem, scorer, members);
-  return core::AggregateListSatisfaction(
-      problem, static_cast<int>(members.size()), list);
-}
-
 void RemoveUser(std::vector<UserId>& members, UserId user) {
   const auto it = std::find(members.begin(), members.end(), user);
   GF_CHECK(it != members.end());
   members.erase(it);
 }
 
-/// Plans one user's best move against the snapshot partition. Pure in
-/// (snapshot, pass_seed, u) — the ParallelFor body of PlanPassMoves —
-/// so the plan is identical at every thread count.
-PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
-                            const grouprec::GroupScorer& scorer,
+/// Plans one user's best move against the snapshot partition that
+/// `evaluator` reads. Pure in (snapshot, pass_seed, u) — the ParallelFor
+/// body of PlanPass — so the plan is identical at every thread count.
+PlannedMove PlanMoveForUser(const MoveEvaluator& evaluator,
                             std::span<const std::vector<UserId>> groups,
                             std::span<const double> satisfaction,
                             std::span<const int> group_of, UserId u,
@@ -54,10 +45,7 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
   const int from = group_of[static_cast<std::size_t>(u)];
 
   // Evaluate removing u from its group once.
-  std::vector<UserId> from_without =
-      groups[static_cast<std::size_t>(from)];
-  RemoveUser(from_without, u);
-  const double from_without_sat = Evaluate(problem, scorer, from_without);
+  const double from_without_sat = evaluator.Remove(from, u);
 
   // Best single-user relocation, targets in group-index order.
   double best_gain = options.min_improvement;
@@ -71,10 +59,7 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
       if (considered_empty) continue;
       considered_empty = true;
     }
-    std::vector<UserId> to_with = groups[to];
-    to_with.push_back(u);
-    std::sort(to_with.begin(), to_with.end());
-    const double to_with_sat = Evaluate(problem, scorer, to_with);
+    const double to_with_sat = evaluator.Add(static_cast<int>(to), u);
     const double gain =
         (from_without_sat + to_with_sat) -
         (satisfaction[static_cast<std::size_t>(from)] + satisfaction[to]);
@@ -105,15 +90,8 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
       const auto& dst = groups[to];
       const UserId v =
           dst[static_cast<std::size_t>(rng.NextUint64(dst.size()))];
-      std::vector<UserId> from_swapped = from_without;
-      from_swapped.push_back(v);
-      std::sort(from_swapped.begin(), from_swapped.end());
-      std::vector<UserId> to_swapped = dst;
-      RemoveUser(to_swapped, v);
-      to_swapped.push_back(u);
-      std::sort(to_swapped.begin(), to_swapped.end());
-      const double from_sat = Evaluate(problem, scorer, from_swapped);
-      const double to_sat = Evaluate(problem, scorer, to_swapped);
+      const double from_sat = evaluator.Replace(from, u, v);
+      const double to_sat = evaluator.Replace(static_cast<int>(to), v, u);
       const double gain =
           (from_sat + to_sat) -
           (satisfaction[static_cast<std::size_t>(from)] + satisfaction[to]);
@@ -129,6 +107,25 @@ PlannedMove PlanMoveForUser(const core::FormationProblem& problem,
     }
   }
   return move;
+}
+
+/// PlanPassMoves against an evaluator whose state matches `groups`.
+std::vector<PlannedMove> PlanPass(const MoveEvaluator& evaluator,
+                                  std::span<const std::vector<UserId>> groups,
+                                  std::span<const double> satisfaction,
+                                  std::span<const int> group_of,
+                                  std::span<const UserId> visit_order,
+                                  std::uint64_t pass_seed,
+                                  const LocalSearchSolver::Options& options) {
+  std::vector<PlannedMove> moves(visit_order.size());
+  const auto plan_one = [&](std::int64_t i) {
+    moves[static_cast<std::size_t>(i)] = PlanMoveForUser(
+        evaluator, groups, satisfaction, group_of,
+        visit_order[static_cast<std::size_t>(i)], pass_seed, options);
+  };
+  common::ThreadPool::Shared().ParallelFor(
+      static_cast<std::int64_t>(visit_order.size()), /*grain=*/0, plan_one);
+  return moves;
 }
 
 }  // namespace
@@ -148,15 +145,10 @@ std::vector<PlannedMove> PlanPassMoves(
     std::span<const double> satisfaction, std::span<const int> group_of,
     std::span<const UserId> visit_order, std::uint64_t pass_seed,
     const LocalSearchSolver::Options& options) {
-  std::vector<PlannedMove> moves(visit_order.size());
-  const auto plan_one = [&](std::int64_t i) {
-    moves[static_cast<std::size_t>(i)] = PlanMoveForUser(
-        problem, scorer, groups, satisfaction, group_of,
-        visit_order[static_cast<std::size_t>(i)], pass_seed, options);
-  };
-  common::ThreadPool::Shared().ParallelFor(
-      static_cast<std::int64_t>(visit_order.size()), /*grain=*/0, plan_one);
-  return moves;
+  const MoveEvaluator evaluator(problem, scorer, groups,
+                                MoveEvaluator::Insert::kSortAll);
+  return PlanPass(evaluator, groups, satisfaction, group_of, visit_order,
+                  pass_seed, options);
 }
 
 common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
@@ -262,6 +254,10 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
     }
   }
   std::vector<char> dirty(state.groups.size(), 0);
+  // Scores every candidate; its per-group state follows state.groups
+  // through the dirty rebuild after each apply phase.
+  MoveEvaluator evaluator(problem_, scorer, state.groups,
+                          MoveEvaluator::Insert::kSortAll);
   int refine_passes = 0;
   bool partial = false;
 
@@ -282,8 +278,8 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
     // partition, batch-evaluated on the pool (DESIGN.md §10.3: each
     // visit-order slot is written by exactly one index).
     const std::vector<PlannedMove> moves =
-        PlanPassMoves(problem_, scorer, state.groups, state.satisfaction,
-                      group_of, visit_order, pass_seed, options_);
+        PlanPass(evaluator, state.groups, state.satisfaction, group_of,
+                 visit_order, pass_seed, options_);
 
     // Apply phase: serial, in visit order. A planned gain is exact as
     // long as both involved groups still match the snapshot, so moves
@@ -322,6 +318,9 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
       improved = true;
     }
     if (!improved) break;
+    for (std::size_t g = 0; g < dirty.size(); ++g) {
+      if (dirty[g]) evaluator.Rebuild(static_cast<int>(g));
+    }
     ++refine_passes;
   }
 

@@ -8,23 +8,12 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/greedy.h"
+#include "exact/move_evaluator.h"
 
 namespace groupform::exact {
-namespace {
 
 using core::FormationResult;
 using core::FormedGroup;
-
-double Evaluate(const core::FormationProblem& problem,
-                const grouprec::GroupScorer& scorer,
-                const std::vector<UserId>& members) {
-  if (members.empty()) return 0.0;
-  const auto list = core::ComputeGroupList(problem, scorer, members);
-  return core::AggregateListSatisfaction(
-      problem, static_cast<int>(members.size()), list);
-}
-
-}  // namespace
 
 common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
   const auto started = std::chrono::steady_clock::now();
@@ -52,13 +41,20 @@ common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
   std::vector<double> scores(groups.size());
   std::vector<int> group_of(static_cast<std::size_t>(n), 0);
   double objective = 0.0;
+  const std::vector<core::GroupScore> seed_scores =
+      core::ScoreGroups(problem_, scorer, groups);
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    scores[g] = Evaluate(problem_, scorer, groups[g]);
+    scores[g] = seed_scores[g].satisfaction;
     objective += scores[g];
     for (UserId u : groups[g]) {
       group_of[static_cast<std::size_t>(u)] = static_cast<int>(g);
     }
   }
+
+  // Scores every proposal; the two groups of an accepted move are
+  // rebuilt right after it lands.
+  MoveEvaluator evaluator(problem_, scorer, groups,
+                          MoveEvaluator::Insert::kLowerBound);
 
   // Best-ever snapshot.
   auto best_groups = groups;
@@ -108,50 +104,34 @@ common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
 
     auto& src = groups[static_cast<std::size_t>(from)];
     auto& dst = groups[static_cast<std::size_t>(to)];
-    if (try_swap && !dst.empty()) {
-      const UserId v =
-          dst[static_cast<std::size_t>(rng.NextUint64(dst.size()))];
-      std::vector<UserId> new_src = src;
-      remove_from(new_src, u);
-      insert_sorted(new_src, v);
-      std::vector<UserId> new_dst = dst;
-      remove_from(new_dst, v);
-      insert_sorted(new_dst, u);
-      const double src_sat = Evaluate(problem_, scorer, new_src);
-      const double dst_sat = Evaluate(problem_, scorer, new_dst);
-      const double delta =
-          (src_sat + dst_sat) -
-          (scores[static_cast<std::size_t>(from)] +
-           scores[static_cast<std::size_t>(to)]);
-      if (accept(delta)) {
-        src = std::move(new_src);
-        dst = std::move(new_dst);
-        scores[static_cast<std::size_t>(from)] = src_sat;
-        scores[static_cast<std::size_t>(to)] = dst_sat;
-        objective += delta;
-        group_of[static_cast<std::size_t>(u)] = to;
+    const bool swap = try_swap && !dst.empty();
+    if (!swap && src.size() == 1 && dst.empty()) continue;  // no-op shuffle
+    const UserId v =
+        swap ? dst[static_cast<std::size_t>(rng.NextUint64(dst.size()))]
+             : kInvalidUser;
+    const double src_sat =
+        swap ? evaluator.Replace(from, u, v) : evaluator.Remove(from, u);
+    const double dst_sat =
+        swap ? evaluator.Replace(to, v, u) : evaluator.Add(to, u);
+    const double delta =
+        (src_sat + dst_sat) - (scores[static_cast<std::size_t>(from)] +
+                               scores[static_cast<std::size_t>(to)]);
+    if (accept(delta)) {
+      // The same edits, in the same order, as the evaluator's candidates:
+      // groups may be unsorted, so the order places the inserted ids.
+      remove_from(src, u);
+      if (swap) {
+        insert_sorted(src, v);
+        remove_from(dst, v);
         group_of[static_cast<std::size_t>(v)] = from;
       }
-    } else {
-      if (src.size() == 1 && dst.empty()) continue;  // no-op shuffle
-      std::vector<UserId> new_src = src;
-      remove_from(new_src, u);
-      std::vector<UserId> new_dst = dst;
-      insert_sorted(new_dst, u);
-      const double src_sat = Evaluate(problem_, scorer, new_src);
-      const double dst_sat = Evaluate(problem_, scorer, new_dst);
-      const double delta =
-          (src_sat + dst_sat) -
-          (scores[static_cast<std::size_t>(from)] +
-           scores[static_cast<std::size_t>(to)]);
-      if (accept(delta)) {
-        src = std::move(new_src);
-        dst = std::move(new_dst);
-        scores[static_cast<std::size_t>(from)] = src_sat;
-        scores[static_cast<std::size_t>(to)] = dst_sat;
-        objective += delta;
-        group_of[static_cast<std::size_t>(u)] = to;
-      }
+      insert_sorted(dst, u);
+      group_of[static_cast<std::size_t>(u)] = to;
+      evaluator.Rebuild(from);
+      evaluator.Rebuild(to);
+      scores[static_cast<std::size_t>(from)] = src_sat;
+      scores[static_cast<std::size_t>(to)] = dst_sat;
+      objective += delta;
     }
     if (objective > best_objective) {
       best_objective = objective;
