@@ -4,8 +4,9 @@
 // Deployment-shape constraints on a formation problem (DESIGN.md §17):
 // group-size bounds, must-link / cannot-link user pairs, and a per-user
 // fairness floor — the natural dual of Least Misery. A ConstraintSpec
-// rides on FormationProblem; unconstrained solvers ignore it entirely,
-// the constrained family (core/constrained.h) enforces it. The spec is
+// rides on FormationProblem; unconstrained solvers ignore it entirely
+// (serving refuses to hand them one), the constrained family
+// (core/constrained.h) enforces it. The spec is
 // pure data with no matrix knowledge, so it lives below formation.h and
 // travels the wire verbatim (docs/PROTOCOL.md "constraints").
 

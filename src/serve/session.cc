@@ -10,6 +10,7 @@
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "core/constrained.h"
 #include "core/delta.h"
 #include "core/formation.h"
 #include "core/solver_registry.h"
@@ -94,6 +95,17 @@ void FillOkResponse(Response& response, const Request& request,
 /// serve hands them the remaining budget instead of answering DNF.
 bool IsAnytimeSolver(const std::string& solver) {
   return solver.rfind("anytime:", 0) == 0;
+}
+
+/// Only the constrained family (DESIGN.md §17) enforces a constraints
+/// spec.
+bool EnforcesConstraints(const std::string& solver) {
+  for (const auto member : core::ConstrainedGreedySolver::kMembers) {
+    if (solver == core::ConstrainedGreedySolver::RegistryName(member)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Memo key of one per-epoch solve: everything that determines the
@@ -346,6 +358,18 @@ Response Session::Execute(
           core::SolverRegistry::Global().CheckRegistered(request.solver);
       !known.ok()) {
     return fail(eval::SweepCellState::kErr, std::move(known));
+  }
+  // A constraints spec goes to a solver that enforces it, or the request
+  // is refused — also before any load. Another solver would answer OK
+  // with a partition that ignores the bounds.
+  if (!request.problem.constraints.Empty() &&
+      !EnforcesConstraints(request.solver)) {
+    return fail(eval::SweepCellState::kErr,
+                Status::InvalidArgument(common::StrFormat(
+                    "solver %s does not enforce constraints; use capgreedy "
+                    "(size bounds), pairgreedy (sizes + link pairs) or "
+                    "fairgreedy (sizes + links + min_user_sat)",
+                    request.solver.c_str())));
   }
 
   // 2. The instance. A delta resolves its epoch: GetEpoch validates the

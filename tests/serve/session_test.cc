@@ -1,6 +1,7 @@
 // Session execution semantics (DESIGN.md §12.2): OK requests match the
 // in-process eval path, unknown solvers are ERR(NOT_FOUND), bad options
-// are ERR(INVALID_ARGUMENT) via the factories' strict validation, caps
+// are ERR(INVALID_ARGUMENT) via the factories' strict validation, so is
+// a constraints spec sent to a solver outside the constrained family, caps
 // and expired deadlines are DNF, and parse failures still produce a
 // response line.
 #include "serve/session.h"
@@ -125,6 +126,38 @@ TEST_F(SessionTest, UnknownSolverAnswersBeforeTheInstanceLoads) {
   const auto stats = session.cache().stats();
   EXPECT_EQ(stats.misses, 0);
   EXPECT_EQ(stats.hits, 0);
+}
+
+TEST_F(SessionTest, UnconstrainedSolversRefuseAConstraintsSpec) {
+  // Only the constrained family enforces a spec. Any other solver would
+  // answer OK with a partition that ignores the bounds, so it refuses —
+  // fresh or delta, before the instance loads — and names the family.
+  Session session;
+  for (const std::string solver :
+       {"greedy", "localsearch", "sa", "anytime:localsearch"}) {
+    Request fresh = TestRequest(solver);
+    fresh.problem.constraints.min_group_size = 6;
+    Request delta = DeltaTestRequest(solver);
+    delta.problem.constraints = fresh.problem.constraints;
+    for (const Request& request : {fresh, delta}) {
+      const Response response = session.Execute(request);
+      EXPECT_EQ(response.state, eval::SweepCellState::kErr) << solver;
+      EXPECT_EQ(response.status.code(),
+                common::StatusCode::kInvalidArgument)
+          << solver;
+      EXPECT_EQ(response.status.message(),
+                "solver " + solver +
+                    " does not enforce constraints; use capgreedy (size "
+                    "bounds), pairgreedy (sizes + link pairs) or "
+                    "fairgreedy (sizes + links + min_user_sat)");
+    }
+  }
+  EXPECT_EQ(session.cache().stats().misses, 0);
+
+  Request constrained = TestRequest("capgreedy");
+  constrained.problem.constraints.min_group_size = 3;
+  const Response response = session.Execute(constrained);
+  EXPECT_EQ(response.state, eval::SweepCellState::kOk) << response.status;
 }
 
 TEST_F(SessionTest, BadSolverOptionIsErrInvalidArgument) {
