@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "data/rating_store.h"
 
 namespace groupform::exact {
 namespace {
@@ -95,7 +96,12 @@ void MoveEvaluator::Rebuild(int g) {
   Scratch& scratch = ThreadScratch();
   const data::RatingStore& store = scorer_.store();
   const auto num_items = static_cast<std::size_t>(store.num_items());
-  if (scratch.tallies.size() < num_items) scratch.tallies.resize(num_items);
+  if (scratch.tallies.size() < num_items) {
+    scratch.tallies.resize(num_items);
+    // Full capacity up front: the push_back below never reallocates, so
+    // a rebuild cannot throw halfway and leave tallies set.
+    scratch.touched.reserve(num_items);
+  }
   std::vector<Tally>& tallies = scratch.tallies;
   std::vector<ItemId>& touched = scratch.touched;
   for (const UserId u : members) {
@@ -115,15 +121,13 @@ void MoveEvaluator::Rebuild(int g) {
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < first.size() || j < second.size()) {
-    ItemId item;
-    if (j == second.size() ||
-        (i < first.size() && first[i].item < second[j].item)) {
-      item = first[i++].item;
-    } else {
-      item = second[j].item;
-      if (i < first.size() && first[i].item == item) ++i;
-      ++j;
-    }
+    const ItemId item =
+        j == second.size() ||
+                (i < first.size() && first[i].item < second[j].item)
+            ? first[i].item
+            : second[j].item;
+    if (i < first.size() && first[i].item == item) ++i;
+    if (j < second.size() && second[j].item == item) ++j;
     const Tally& tally = tallies[static_cast<std::size_t>(item)];
     if (tally.raters >= m - 1) {
       near.push_back({item, tally.raters, tally.min, tally.second});

@@ -6,7 +6,6 @@
 
 #include "common/types.h"
 #include "core/formation.h"
-#include "data/rating_matrix.h"
 #include "grouprec/group_scorer.h"
 
 namespace groupform::exact {
@@ -66,10 +65,10 @@ class MoveEvaluator {
   /// m − 1 members. `second` is the second-smallest rating (+inf when a
   /// single member rated the item).
   struct NearItem {
-    ItemId item;
-    int raters;
-    Rating min;
-    Rating second;
+    ItemId item = kInvalidItem;
+    int raters = 0;
+    Rating min = 0.0;
+    Rating second = 0.0;
   };
 
   /// Satisfaction of groups[g] − `out` + `in`; either may be
