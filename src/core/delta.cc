@@ -214,6 +214,23 @@ StatusOr<std::vector<std::vector<UserId>>> AssignmentToLocal(
   return local;
 }
 
+StatusOr<std::vector<std::vector<UserId>>> CarryAssignment(
+    const FormationResult& previous,
+    const std::vector<UserId>& previous_active,
+    const std::vector<UserId>& active_users, int max_groups) {
+  std::vector<std::vector<UserId>> carried;
+  carried.reserve(previous.groups.size());
+  for (const FormedGroup& group : previous.groups) {
+    std::vector<UserId>& members = carried.emplace_back();
+    members.reserve(group.members.size());
+    for (const UserId local : group.members) {
+      members.push_back(previous_active[static_cast<std::size_t>(local)]);
+    }
+  }
+  return AssignmentToLocal(
+      AdaptAssignment(carried, active_users, max_groups), active_users);
+}
+
 std::string EncodeStartAssignment(
     const std::vector<std::vector<UserId>>& groups) {
   std::string encoded;

@@ -21,6 +21,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "core/formation.h"
 #include "data/rating_matrix.h"
 
 namespace groupform::core {
@@ -106,6 +107,16 @@ std::vector<std::vector<UserId>> AdaptAssignment(
 common::StatusOr<std::vector<std::vector<UserId>>> AssignmentToLocal(
     const std::vector<std::vector<UserId>>& groups,
     const std::vector<UserId>& active_users);
+
+/// The warm start a previous epoch's solution gives the next epoch:
+/// `previous`'s groups (members in the previous epoch's local ids, mapped
+/// to base ids through its ascending `previous_active`) carried onto
+/// `active_users` by AdaptAssignment, then re-indexed into the new
+/// epoch's local ids by AssignmentToLocal.
+common::StatusOr<std::vector<std::vector<UserId>>> CarryAssignment(
+    const FormationResult& previous,
+    const std::vector<UserId>& previous_active,
+    const std::vector<UserId>& active_users, int max_groups);
 
 /// The printable encoding a warm-start partition travels in inside a
 /// SolverOptions bag (and therefore the wire protocol and sweep series):

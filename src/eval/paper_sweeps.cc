@@ -619,8 +619,10 @@ common::StatusOr<SweepSuite> MakeDeltaVsResolve(double scale) {
   };
 
   // Fold the warm chain forward: epoch 0 solves cold; epoch i carries
-  // epoch i-1's groups through AdaptAssignment into a start_assignment.
-  std::vector<std::vector<UserId>> previous_groups;  // base user ids
+  // epoch i-1's groups through core::CarryAssignment into a
+  // start_assignment.
+  core::FormationResult previous;
+  std::vector<UserId> previous_active;
   for (std::size_t step = 0; step <= script.size(); ++step) {
     const std::span<const core::PopulationDelta> prefix(script.data(),
                                                         step);
@@ -638,29 +640,18 @@ common::StatusOr<SweepSuite> MakeDeltaVsResolve(double scale) {
     problem.matrix = matrix.get();
     core::SolverOptions warm_options;
     if (step > 0) {
-      const std::vector<std::vector<UserId>> carried =
-          core::AdaptAssignment(previous_groups, applied.active_users,
-                                problem.max_groups);
       GF_ASSIGN_OR_RETURN(
           const auto local,
-          core::AssignmentToLocal(carried, applied.active_users));
+          core::CarryAssignment(previous, previous_active,
+                                applied.active_users, problem.max_groups));
       warm_options.SetStartAssignment(local);
     }
     GF_ASSIGN_OR_RETURN(const auto solver,
                         core::SolverRegistry::Global().Create(
                             "localsearch", problem, warm_options));
-    GF_ASSIGN_OR_RETURN(const core::FormationResult chained,
+    GF_ASSIGN_OR_RETURN(previous,
                         solver->Solve(core::FormationSolver::kDefaultSeed));
-    previous_groups.clear();
-    for (const auto& group : chained.groups) {
-      std::vector<UserId> members;
-      members.reserve(group.members.size());
-      for (const UserId local : group.members) {
-        members.push_back(
-            applied.active_users[static_cast<std::size_t>(local)]);
-      }
-      previous_groups.push_back(std::move(members));
-    }
+    previous_active = applied.active_users;
 
     SweepSpec spec;
     spec.name = common::StrFormat("delta_step%zu", step);

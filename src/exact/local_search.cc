@@ -2,50 +2,36 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "core/greedy.h"
 #include "exact/move_evaluator.h"
 
 namespace groupform::exact {
 namespace {
 
 using core::FormationResult;
-using core::FormedGroup;
 using PlannedMove = LocalSearchSolver::PlannedMove;
 
-/// Mutable partition state with cached per-group satisfactions.
-struct State {
-  std::vector<std::vector<UserId>> groups;  // some may be empty
-  std::vector<double> satisfaction;
-  double objective = 0.0;
-};
-
-void RemoveUser(std::vector<UserId>& members, UserId user) {
-  const auto it = std::find(members.begin(), members.end(), user);
-  GF_CHECK(it != members.end());
-  members.erase(it);
-}
-
-/// Plans one user's best move against the snapshot partition that
-/// `evaluator` reads. Pure in (snapshot, pass_seed, u) — the ParallelFor
-/// body of PlanPass — so the plan is identical at every thread count.
-PlannedMove PlanMoveForUser(const MoveEvaluator& evaluator,
-                            std::span<const std::vector<UserId>> groups,
-                            std::span<const double> satisfaction,
-                            std::span<const int> group_of, UserId u,
+/// Plans one user's best move against the pass-start partition in
+/// `state`. Pure in (state, pass_seed, u) — the ParallelFor body of
+/// PlanPass — so the plan is identical at every thread count.
+PlannedMove PlanMoveForUser(const SearchState& state, UserId u,
                             std::uint64_t pass_seed,
                             const LocalSearchSolver::Options& options) {
   PlannedMove move;
+  const std::span<const std::vector<UserId>> groups = state.groups();
+  const std::span<const double> satisfaction = state.satisfaction();
   if (groups.size() <= 1) return move;  // no other group to move into
-  const int from = group_of[static_cast<std::size_t>(u)];
+  const int from = state.group_of()[static_cast<std::size_t>(u)];
 
   // Evaluate removing u from its group once.
-  const double from_without_sat = evaluator.Remove(from, u);
+  const double from_without_sat = state.Remove(from, u);
 
   // Best single-user relocation, targets in group-index order.
   double best_gain = options.min_improvement;
@@ -59,7 +45,7 @@ PlannedMove PlanMoveForUser(const MoveEvaluator& evaluator,
       if (considered_empty) continue;
       considered_empty = true;
     }
-    const double to_with_sat = evaluator.Add(static_cast<int>(to), u);
+    const double to_with_sat = state.Add(static_cast<int>(to), u);
     const double gain =
         (from_without_sat + to_with_sat) -
         (satisfaction[static_cast<std::size_t>(from)] + satisfaction[to]);
@@ -90,8 +76,8 @@ PlannedMove PlanMoveForUser(const MoveEvaluator& evaluator,
       const auto& dst = groups[to];
       const UserId v =
           dst[static_cast<std::size_t>(rng.NextUint64(dst.size()))];
-      const double from_sat = evaluator.Replace(from, u, v);
-      const double to_sat = evaluator.Replace(static_cast<int>(to), v, u);
+      const double from_sat = state.Replace(from, u, v);
+      const double to_sat = state.Replace(static_cast<int>(to), v, u);
       const double gain =
           (from_sat + to_sat) -
           (satisfaction[static_cast<std::size_t>(from)] + satisfaction[to]);
@@ -109,19 +95,16 @@ PlannedMove PlanMoveForUser(const MoveEvaluator& evaluator,
   return move;
 }
 
-/// PlanPassMoves against an evaluator whose state matches `groups`.
-std::vector<PlannedMove> PlanPass(const MoveEvaluator& evaluator,
-                                  std::span<const std::vector<UserId>> groups,
-                                  std::span<const double> satisfaction,
-                                  std::span<const int> group_of,
+/// PlanPassMoves against `state`.
+std::vector<PlannedMove> PlanPass(const SearchState& state,
                                   std::span<const UserId> visit_order,
                                   std::uint64_t pass_seed,
                                   const LocalSearchSolver::Options& options) {
   std::vector<PlannedMove> moves(visit_order.size());
   const auto plan_one = [&](std::int64_t i) {
-    moves[static_cast<std::size_t>(i)] = PlanMoveForUser(
-        evaluator, groups, satisfaction, group_of,
-        visit_order[static_cast<std::size_t>(i)], pass_seed, options);
+    moves[static_cast<std::size_t>(i)] =
+        PlanMoveForUser(state, visit_order[static_cast<std::size_t>(i)],
+                        pass_seed, options);
   };
   common::ThreadPool::Shared().ParallelFor(
       static_cast<std::int64_t>(visit_order.size()), /*grain=*/0, plan_one);
@@ -145,10 +128,14 @@ std::vector<PlannedMove> PlanPassMoves(
     std::span<const double> satisfaction, std::span<const int> group_of,
     std::span<const UserId> visit_order, std::uint64_t pass_seed,
     const LocalSearchSolver::Options& options) {
-  const MoveEvaluator evaluator(problem, scorer, groups,
-                                MoveEvaluator::Insert::kSortAll);
-  return PlanPass(evaluator, groups, satisfaction, group_of, visit_order,
-                  pass_seed, options);
+  ScoredPartition snapshot{{groups.begin(), groups.end()},
+                           {satisfaction.begin(), satisfaction.end()}};
+  snapshot.objective =
+      std::accumulate(satisfaction.begin(), satisfaction.end(), 0.0);
+  const SearchState state(problem, scorer, std::move(snapshot),
+                          SearchState::Insert::kSortAll);
+  GF_CHECK(std::ranges::equal(group_of, state.group_of()));
+  return PlanPass(state, visit_order, pass_seed, options);
 }
 
 common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
@@ -196,68 +183,30 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
     }
   }
 
-  State state;
-  state.groups.assign(static_cast<std::size_t>(ell), {});
-  if (options_.init_with_greedy) {
-    GF_ASSIGN_OR_RETURN(auto seed_result, core::RunGreedy(problem_));
-    for (std::size_t g = 0; g < seed_result.groups.size(); ++g) {
-      state.groups[g] = std::move(seed_result.groups[g].members);
-    }
-  } else if (!warm_groups.empty()) {
-    state.groups = warm_groups;
-  } else {
-    // Balanced random split.
-    std::vector<UserId> order(static_cast<std::size_t>(n));
-    for (int u = 0; u < n; ++u) order[static_cast<std::size_t>(u)] = u;
-    rng.Shuffle(order);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      state.groups[i % static_cast<std::size_t>(ell)].push_back(order[i]);
-    }
-  }
-  // Batch-score the seed partition on the shared thread pool; the serial
-  // sum keeps the objective's floating-point order thread-count-invariant.
-  state.satisfaction.resize(state.groups.size());
-  const std::vector<core::GroupScore> seed_scores =
-      core::ScoreGroups(problem_, scorer, state.groups);
-  for (std::size_t g = 0; g < state.groups.size(); ++g) {
-    state.satisfaction[g] = seed_scores[g].satisfaction;
-    state.objective += state.satisfaction[g];
+  ScoredPartition start;
+  if (options_.init_with_greedy || warm_groups.empty()) {
+    GF_ASSIGN_OR_RETURN(start, SeedPartition(problem_, scorer,
+                                             options_.init_with_greedy, rng));
   }
   // Warm-vs-seed selection (DESIGN.md §13): with both a greedy seed and
   // a warm start, climb from whichever scores higher; ties keep the warm
   // start so a converged epoch re-solve starts (and stays) at its own
   // optimum. When the greedy seed wins, the run is byte-identical to a
   // cold one — no init path that reaches this point has touched the rng.
-  if (!warm_groups.empty() && options_.init_with_greedy) {
-    const std::vector<core::GroupScore> warm_scores =
-        core::ScoreGroups(problem_, scorer, warm_groups);
-    double warm_objective = 0.0;
-    for (const core::GroupScore& score : warm_scores) {
-      warm_objective += score.satisfaction;
-    }
-    if (warm_objective >= state.objective) {
-      state.groups = std::move(warm_groups);
-      for (std::size_t g = 0; g < state.groups.size(); ++g) {
-        state.satisfaction[g] = warm_scores[g].satisfaction;
-      }
-      state.objective = warm_objective;
+  if (!warm_groups.empty()) {
+    ScoredPartition warm =
+        ScorePartition(problem_, scorer, std::move(warm_groups));
+    if (!options_.init_with_greedy || warm.objective >= start.objective) {
+      start = std::move(warm);
     }
   }
+  SearchState state(problem_, scorer, std::move(start),
+                    SearchState::Insert::kSortAll);
 
   // ---- Hill climbing: plan in parallel, apply serially ----
   std::vector<UserId> visit_order(static_cast<std::size_t>(n));
-  for (int u = 0; u < n; ++u) visit_order[static_cast<std::size_t>(u)] = u;
-  std::vector<int> group_of(static_cast<std::size_t>(n), 0);
-  for (std::size_t g = 0; g < state.groups.size(); ++g) {
-    for (UserId u : state.groups[g]) {
-      group_of[static_cast<std::size_t>(u)] = static_cast<int>(g);
-    }
-  }
-  std::vector<char> dirty(state.groups.size(), 0);
-  // Scores every candidate; its per-group state follows state.groups
-  // through the dirty rebuild after each apply phase.
-  MoveEvaluator evaluator(problem_, scorer, state.groups,
-                          MoveEvaluator::Insert::kSortAll);
+  std::iota(visit_order.begin(), visit_order.end(), 0);
+  std::vector<char> dirty(state.groups().size(), 0);
   int refine_passes = 0;
   bool partial = false;
 
@@ -278,8 +227,7 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
     // partition, batch-evaluated on the pool (DESIGN.md §10.3: each
     // visit-order slot is written by exactly one index).
     const std::vector<PlannedMove> moves =
-        PlanPass(evaluator, state.groups, state.satisfaction, group_of,
-                 visit_order, pass_seed, options_);
+        PlanPass(state, visit_order, pass_seed, options_);
 
     // Apply phase: serial, in visit order. A planned gain is exact as
     // long as both involved groups still match the snapshot, so moves
@@ -293,55 +241,28 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
       const PlannedMove& move = moves[i];
       if (move.kind == PlannedMove::Kind::kNone) continue;
       const UserId u = visit_order[i];
-      const int from = group_of[static_cast<std::size_t>(u)];
+      const int from = state.group_of()[static_cast<std::size_t>(u)];
       if (dirty[static_cast<std::size_t>(from)] ||
           dirty[static_cast<std::size_t>(move.to)]) {
         continue;  // stale against the snapshot
       }
-      auto& src = state.groups[static_cast<std::size_t>(from)];
-      auto& dst = state.groups[static_cast<std::size_t>(move.to)];
-      RemoveUser(src, u);
       if (move.kind == PlannedMove::Kind::kSwap) {
-        RemoveUser(dst, move.partner);
-        src.push_back(move.partner);
-        std::sort(src.begin(), src.end());
-        group_of[static_cast<std::size_t>(move.partner)] = from;
+        state.Swap(u, move.partner, move.from_sat, move.to_sat);
+      } else {
+        state.Relocate(u, move.to, move.from_sat, move.to_sat);
       }
-      dst.push_back(u);
-      std::sort(dst.begin(), dst.end());
-      group_of[static_cast<std::size_t>(u)] = move.to;
-      state.objective += move.gain;
-      state.satisfaction[static_cast<std::size_t>(from)] = move.from_sat;
-      state.satisfaction[static_cast<std::size_t>(move.to)] = move.to_sat;
       dirty[static_cast<std::size_t>(from)] = 1;
       dirty[static_cast<std::size_t>(move.to)] = 1;
       improved = true;
     }
     if (!improved) break;
-    for (std::size_t g = 0; g < dirty.size(); ++g) {
-      if (dirty[g]) evaluator.Rebuild(static_cast<int>(g));
-    }
     ++refine_passes;
   }
 
-  // ---- Package ----
-  // Final rescoring of all groups at once (the lists were not kept during
-  // the search; only satisfactions were cached).
-  std::vector<core::GroupScore> final_scores =
-      core::ScoreGroups(problem_, scorer, state.groups);
-  FormationResult result;
+  FormationResult result = PackageGroups(problem_, scorer, state.groups());
   result.algorithm = "OPT*-LS";
   result.refine_passes = refine_passes;
   result.partial = partial;
-  for (std::size_t g = 0; g < state.groups.size(); ++g) {
-    if (state.groups[g].empty()) continue;
-    FormedGroup group;
-    group.members = state.groups[g];
-    group.recommendation = std::move(final_scores[g].list);
-    group.satisfaction = state.satisfaction[g];
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
-  }
   return result;
 }
 

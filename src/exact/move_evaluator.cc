@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 #include "common/logging.h"
+#include "core/greedy.h"
 #include "data/rating_store.h"
 
 namespace groupform::exact {
@@ -47,46 +50,150 @@ const data::RatingEntry* Seek(std::span<const data::RatingEntry> row,
   return at < row.size() && row[at].item == item ? &row[at] : nullptr;
 }
 
+/// Takes `user` (a member) out of `members`, keeping the others' order.
+void Erase(std::vector<UserId>& members, UserId user) {
+  const auto at = std::find(members.begin(), members.end(), user);
+  GF_CHECK(at != members.end());
+  members.erase(at);
+}
+
 }  // namespace
 
-bool MoveEvaluator::InDeltaScope(const core::FormationProblem& problem) {
+ScoredPartition ScorePartition(const core::FormationProblem& problem,
+                               const grouprec::GroupScorer& scorer,
+                               std::vector<std::vector<UserId>> groups) {
+  ScoredPartition partition;
+  const std::vector<core::GroupScore> scores =
+      core::ScoreGroups(problem, scorer, groups);
+  for (const core::GroupScore& score : scores) {
+    partition.satisfaction.push_back(score.satisfaction);
+    partition.objective += score.satisfaction;
+  }
+  partition.groups = std::move(groups);
+  return partition;
+}
+
+common::StatusOr<ScoredPartition> SeedPartition(
+    const core::FormationProblem& problem,
+    const grouprec::GroupScorer& scorer, bool greedy, common::Rng& rng) {
+  std::vector<std::vector<UserId>> groups(
+      static_cast<std::size_t>(problem.max_groups));
+  if (greedy) {
+    GF_ASSIGN_OR_RETURN(auto seed, core::RunGreedy(problem));
+    for (std::size_t g = 0; g < seed.groups.size(); ++g) {
+      groups[g] = std::move(seed.groups[g].members);
+    }
+  } else {
+    std::vector<UserId> order(
+        static_cast<std::size_t>(problem.Store().num_users()));
+    std::iota(order.begin(), order.end(), 0);
+    rng.Shuffle(order);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      groups[i % groups.size()].push_back(order[i]);
+    }
+  }
+  return ScorePartition(problem, scorer, std::move(groups));
+}
+
+core::FormationResult PackageGroups(
+    const core::FormationProblem& problem,
+    const grouprec::GroupScorer& scorer,
+    std::span<const std::vector<UserId>> groups) {
+  std::vector<core::GroupScore> scores =
+      core::ScoreGroups(problem, scorer, groups);
+  core::FormationResult result;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].empty()) continue;
+    result.objective += scores[g].satisfaction;
+    result.groups.push_back(
+        {groups[g], std::move(scores[g].list), scores[g].satisfaction});
+  }
+  return result;
+}
+
+bool SearchState::InDeltaScope(const core::FormationProblem& problem) {
   if (problem.semantics != grouprec::Semantics::kLeastMisery ||
       problem.candidate_depth != 0) {
     return false;
   }
-  switch (problem.missing) {
-    case grouprec::MissingRatingPolicy::kScaleMin:
-      return true;
-    case grouprec::MissingRatingPolicy::kZero:
-      // Ratings lie in the scale, so with min >= 0 an incomplete item's
-      // min(observed minimum, 0) is always the floor 0.
-      return problem.Store().scale().min >= 0.0;
-    case grouprec::MissingRatingPolicy::kSkipUser:
-      return false;
-  }
-  return false;
+  // Ratings lie in the scale, so under `zero` with min >= 0 an incomplete
+  // item's min(observed minimum, 0) is always the floor 0.
+  return problem.missing == grouprec::MissingRatingPolicy::kScaleMin ||
+         (problem.missing == grouprec::MissingRatingPolicy::kZero &&
+          problem.Store().scale().min >= 0.0);
 }
 
-MoveEvaluator::MoveEvaluator(const core::FormationProblem& problem,
-                             const grouprec::GroupScorer& scorer,
-                             std::span<const std::vector<UserId>> groups,
-                             Insert insert)
+SearchState::SearchState(const core::FormationProblem& problem,
+                         const grouprec::GroupScorer& scorer,
+                         ScoredPartition start, Insert insert)
     : problem_(problem),
       scorer_(scorer),
-      groups_(groups),
       insert_(insert),
-      delta_(InDeltaScope(problem)) {
+      delta_(InDeltaScope(problem)),
+      groups_(std::move(start.groups)),
+      group_of_(static_cast<std::size_t>(problem.Store().num_users()), 0),
+      satisfaction_(std::move(start.satisfaction)),
+      objective_(start.objective) {
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    for (const UserId u : groups_[g]) {
+      group_of_[static_cast<std::size_t>(u)] = static_cast<int>(g);
+    }
+  }
   if (!delta_) return;
   floor_ = problem.missing == grouprec::MissingRatingPolicy::kScaleMin
                ? problem.Store().scale().min
                : 0.0;
-  near_.resize(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  near_.resize(groups_.size());
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
     Rebuild(static_cast<int>(g));
   }
 }
 
-void MoveEvaluator::Rebuild(int g) {
+void SearchState::Place(std::vector<UserId>& members, UserId in) const {
+  if (insert_ == Insert::kSortAll) {
+    members.push_back(in);
+    std::sort(members.begin(), members.end());
+  } else {
+    members.insert(std::lower_bound(members.begin(), members.end(), in),
+                   in);
+  }
+}
+
+void SearchState::Relocate(UserId u, int to, double from_sat,
+                           double to_sat) {
+  const int from = group_of_[static_cast<std::size_t>(u)];
+  Erase(groups_[static_cast<std::size_t>(from)], u);
+  Place(groups_[static_cast<std::size_t>(to)], u);
+  group_of_[static_cast<std::size_t>(u)] = to;
+  Commit(from, to, from_sat, to_sat);
+}
+
+void SearchState::Swap(UserId u, UserId v, double from_sat, double to_sat) {
+  const int from = group_of_[static_cast<std::size_t>(u)];
+  const int to = group_of_[static_cast<std::size_t>(v)];
+  std::vector<UserId>& src = groups_[static_cast<std::size_t>(from)];
+  std::vector<UserId>& dst = groups_[static_cast<std::size_t>(to)];
+  Erase(src, u);
+  Place(src, v);
+  Erase(dst, v);
+  Place(dst, u);
+  group_of_[static_cast<std::size_t>(u)] = to;
+  group_of_[static_cast<std::size_t>(v)] = from;
+  Commit(from, to, from_sat, to_sat);
+}
+
+void SearchState::Commit(int from, int to, double from_sat,
+                         double to_sat) {
+  double& from_slot = satisfaction_[static_cast<std::size_t>(from)];
+  double& to_slot = satisfaction_[static_cast<std::size_t>(to)];
+  objective_ += (from_sat + to_sat) - (from_slot + to_slot);
+  from_slot = from_sat;
+  to_slot = to_sat;
+  Rebuild(from);
+  Rebuild(to);
+}
+
+void SearchState::Rebuild(int g) {
   if (!delta_) return;
   const std::vector<UserId>& members = groups_[static_cast<std::size_t>(g)];
   std::vector<NearItem>& near = near_[static_cast<std::size_t>(g)];
@@ -139,36 +246,14 @@ void MoveEvaluator::Rebuild(int g) {
   touched.clear();
 }
 
-double MoveEvaluator::Remove(int g, UserId out) const {
-  return Score(g, out, kInvalidUser);
-}
-
-double MoveEvaluator::Add(int g, UserId in) const {
-  return Score(g, kInvalidUser, in);
-}
-
-double MoveEvaluator::Replace(int g, UserId out, UserId in) const {
-  return Score(g, out, in);
-}
-
-double MoveEvaluator::Score(int g, UserId out, UserId in) const {
+double SearchState::Score(int g, UserId out, UserId in) const {
   const std::vector<UserId>& members = groups_[static_cast<std::size_t>(g)];
   Scratch& scratch = ThreadScratch();
   if (!delta_) {
     std::vector<UserId>& candidate = scratch.members;
     candidate.assign(members.begin(), members.end());
-    if (out != kInvalidUser) {
-      const auto at = std::find(candidate.begin(), candidate.end(), out);
-      GF_CHECK(at != candidate.end());
-      candidate.erase(at);
-    }
-    if (in != kInvalidUser && insert_ == Insert::kSortAll) {
-      candidate.push_back(in);
-      std::sort(candidate.begin(), candidate.end());
-    } else if (in != kInvalidUser) {
-      candidate.insert(
-          std::lower_bound(candidate.begin(), candidate.end(), in), in);
-    }
+    if (out != kInvalidUser) Erase(candidate, out);
+    if (in != kInvalidUser) Place(candidate, in);
     if (candidate.empty()) return 0.0;
     const auto list = core::ComputeGroupList(problem_, scorer_, candidate);
     return core::AggregateListSatisfaction(
@@ -226,7 +311,7 @@ double MoveEvaluator::Score(int g, UserId out, UserId in) const {
   return Aggregate(complete);
 }
 
-double MoveEvaluator::Aggregate(std::vector<double>& complete) const {
+double SearchState::Aggregate(std::vector<double>& complete) const {
   // The full path's list is the catalogue's top min(k, items) under the
   // score order; by value that is the complete scores merged with the
   // floor scores of the other items, descending. Max reads its first

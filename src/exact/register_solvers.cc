@@ -46,8 +46,13 @@ common::StatusOr<SimulatedAnnealingSolver::Options> MakeSaOptions(
   SimulatedAnnealingSolver::Options opt;
   opt.iterations = AsInt(options, "iterations", opt.iterations);
   opt.cooling = options.GetDouble("cooling", opt.cooling);
-  opt.cooling_interval =
-      AsInt(options, "cooling_interval", opt.cooling_interval);
+  // The cooling step runs every `cooling_interval` proposals: 0 would
+  // divide by zero, so the interval is strict-parsed with a floor of 1.
+  GF_ASSIGN_OR_RETURN(const long long cooling_interval,
+                      options.GetCheckedInt("cooling_interval",
+                                            opt.cooling_interval,
+                                            /*min_value=*/1));
+  opt.cooling_interval = static_cast<int>(cooling_interval);
   opt.swap_fraction = options.GetDouble("swap_fraction", opt.swap_fraction);
   opt.init_with_greedy =
       options.GetBool("init_with_greedy", opt.init_with_greedy);

@@ -242,22 +242,11 @@ common::StatusOr<Solved> WarmFold(
         input.options.Set(name, value);
       }
       if (!previous_active.empty()) {
-        std::vector<std::vector<UserId>> carried;
-        carried.reserve(previous.groups.size());
-        for (const core::FormedGroup& group : previous.groups) {
-          std::vector<UserId> members;
-          members.reserve(group.members.size());
-          for (const UserId local : group.members) {
-            members.push_back(
-                previous_active[static_cast<std::size_t>(local)]);
-          }
-          carried.push_back(std::move(members));
-        }
-        const auto adapted = core::AdaptAssignment(
-            carried, epoch_i.active_users, request.problem.groups);
         GF_ASSIGN_OR_RETURN(
             const auto local_start,
-            core::AssignmentToLocal(adapted, epoch_i.active_users));
+            core::CarryAssignment(previous, previous_active,
+                                  epoch_i.active_users,
+                                  request.problem.groups));
         input.options.SetStartAssignment(local_start);
       }
       if (i == n) {

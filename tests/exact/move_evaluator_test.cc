@@ -1,15 +1,18 @@
-// exact::MoveEvaluator (DESIGN.md §10.3) against its oracle: on seeded
+// exact::SearchState (DESIGN.md §10.3) against its oracle: on seeded
 // random partitions, every Remove / Add / Replace equals
 // core::ComputeGroupList + core::AggregateListSatisfaction on the
 // candidate's member list, with exact ==. The delta path is covered under
 // rmin and zero, Max/Min/Sum, the dense and both compact backends, target
 // groups of size 0, 1 and 2, shared item minima, ratings at scale.min and
-// lists with fewer complete items than k; every rebuilt state is checked
-// again after random moves. Out-of-scope problems must take the full path,
-// under both placement rules.
+// lists with fewer complete items than k. After every applied Relocate or
+// Swap the state must equal one built fresh from the expected member
+// lists: member order, group_of, satisfactions and every score exactly,
+// the objective within 1e-9 relative. Out-of-scope problems must take the
+// full path, under both placement rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -23,11 +26,11 @@ namespace groupform {
 namespace {
 
 using core::FormationProblem;
-using exact::MoveEvaluator;
+using exact::SearchState;
 using grouprec::Aggregation;
 using grouprec::MissingRatingPolicy;
 using grouprec::Semantics;
-using Insert = MoveEvaluator::Insert;
+using Insert = SearchState::Insert;
 
 /// A random matrix with ratings on a half-point grid over `scale`, dense
 /// enough that large groups keep complete items, and with a bias towards
@@ -98,13 +101,21 @@ std::vector<std::vector<UserId>> SeededPartition(std::int32_t users,
   return groups;
 }
 
+SearchState FreshState(const FormationProblem& problem,
+                       const grouprec::GroupScorer& scorer,
+                       const std::vector<std::vector<UserId>>& groups,
+                       Insert insert) {
+  return SearchState(problem, scorer,
+                     exact::ScorePartition(problem, scorer, groups), insert);
+}
+
 /// Every Remove and Add of the partition, and the Replaces of each
-/// member with a few outsiders, against the oracle.
+/// member with a few outsiders, against the oracle and a fresh state.
 void ExpectAllMovesMatch(const FormationProblem& problem,
                          const grouprec::GroupScorer& scorer,
                          const std::vector<std::vector<UserId>>& groups,
-                         const MoveEvaluator& evaluator, Insert insert,
-                         const std::string& label) {
+                         const SearchState& state, const SearchState& fresh,
+                         Insert insert, const std::string& label) {
   const std::int32_t users = problem.Store().num_users();
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const int gi = static_cast<int>(g);
@@ -116,53 +127,86 @@ void ExpectAllMovesMatch(const FormationProblem& problem,
       }
     }
     for (const UserId in : outsiders) {
-      ASSERT_EQ(evaluator.Add(gi, in),
-                Oracle(problem, scorer, With(members, in, insert)))
+      const double add = state.Add(gi, in);
+      ASSERT_EQ(add, Oracle(problem, scorer, With(members, in, insert)))
           << label << " add " << in << " to group " << g;
+      ASSERT_EQ(add, fresh.Add(gi, in))
+          << label << " fresh add " << in << " to group " << g;
     }
     for (const UserId out : members) {
-      ASSERT_EQ(evaluator.Remove(gi, out),
-                Oracle(problem, scorer, Without(members, out)))
+      const double remove = state.Remove(gi, out);
+      ASSERT_EQ(remove, Oracle(problem, scorer, Without(members, out)))
           << label << " remove " << out << " from group " << g;
+      ASSERT_EQ(remove, fresh.Remove(gi, out))
+          << label << " fresh remove " << out << " from group " << g;
       for (std::size_t j = 0; j < outsiders.size(); j += 3) {
         const UserId in = outsiders[j];
-        ASSERT_EQ(evaluator.Replace(gi, out, in),
+        const double replace = state.Replace(gi, out, in);
+        ASSERT_EQ(replace,
                   Oracle(problem, scorer,
                          With(Without(members, out), in, insert)))
             << label << " replace " << out << " by " << in << " in group "
             << g;
+        ASSERT_EQ(replace, fresh.Replace(gi, out, in))
+            << label << " fresh replace " << out << " by " << in
+            << " in group " << g;
       }
     }
   }
 }
 
-/// Random relocations and swaps, each followed by the rebuild of its
-/// groups, with every move re-checked after each step.
-void ExpectMovesMatchAfterRebuilds(const FormationProblem& problem,
-                                   std::vector<std::vector<UserId>> groups,
-                                   Insert insert, std::uint64_t seed,
-                                   const std::string& label) {
+/// `state` holds exactly `groups` (member order included) and equals a
+/// state built fresh from them.
+void ExpectStateMatchesFresh(const FormationProblem& problem,
+                             const grouprec::GroupScorer& scorer,
+                             const std::vector<std::vector<UserId>>& groups,
+                             const SearchState& state, Insert insert,
+                             const std::string& label) {
+  const SearchState fresh = FreshState(problem, scorer, groups, insert);
+  ASSERT_EQ(state.groups().size(), groups.size()) << label;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ASSERT_EQ(state.groups()[g], groups[g]) << label << " group " << g;
+    ASSERT_EQ(state.satisfaction()[g], fresh.satisfaction()[g])
+        << label << " satisfaction of group " << g;
+  }
+  ASSERT_TRUE(std::ranges::equal(state.group_of(), fresh.group_of()))
+      << label << " group_of";
+  ASSERT_NEAR(state.objective(), fresh.objective(),
+              1e-9 * std::max(1.0, std::abs(fresh.objective())))
+      << label << " objective";
+  ExpectAllMovesMatch(problem, scorer, groups, state, fresh, insert, label);
+}
+
+/// `steps` seeded random relocations and swaps applied to a state over
+/// `groups`, with the state checked against a fresh one after each.
+void ExpectStateFollowsMoves(const FormationProblem& problem,
+                             std::vector<std::vector<UserId>> groups,
+                             Insert insert, std::uint64_t seed, int steps,
+                             const std::string& label) {
   const grouprec::GroupScorer scorer = problem.MakeScorer();
-  MoveEvaluator evaluator(problem, scorer, groups, insert);
-  ExpectAllMovesMatch(problem, scorer, groups, evaluator, insert, label);
+  SearchState state = FreshState(problem, scorer, groups, insert);
+  ExpectStateMatchesFresh(problem, scorer, groups, state, insert, label);
   common::Rng rng(seed);
   const auto ell = static_cast<std::uint64_t>(groups.size());
-  for (int step = 0; step < 4; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const auto from = rng.NextUint64(ell);
     const auto to = rng.NextUint64(ell);
     if (from == to || groups[from].empty()) continue;
     const UserId u = groups[from][rng.NextUint64(groups[from].size())];
-    groups[from] = Without(groups[from], u);
+    const int fi = static_cast<int>(from);
+    const int ti = static_cast<int>(to);
     if (step % 2 == 1 && !groups[to].empty()) {
       const UserId v = groups[to][rng.NextUint64(groups[to].size())];
-      groups[to] = Without(groups[to], v);
-      groups[from] = With(groups[from], v, insert);
+      state.Swap(u, v, state.Replace(fi, u, v), state.Replace(ti, v, u));
+      groups[from] = With(Without(groups[from], u), v, insert);
+      groups[to] = With(Without(groups[to], v), u, insert);
+    } else {
+      state.Relocate(u, ti, state.Remove(fi, u), state.Add(ti, u));
+      groups[from] = Without(groups[from], u);
+      groups[to] = With(groups[to], u, insert);
     }
-    groups[to] = With(groups[to], u, insert);
-    evaluator.Rebuild(static_cast<int>(from));
-    evaluator.Rebuild(static_cast<int>(to));
-    ExpectAllMovesMatch(problem, scorer, groups, evaluator, insert,
-                        label + " step " + std::to_string(step));
+    ExpectStateMatchesFresh(problem, scorer, groups, state, insert,
+                            label + " step " + std::to_string(step));
   }
 }
 
@@ -195,7 +239,7 @@ FormationProblem Problem(const data::RatingMatrix* matrix,
   return problem;
 }
 
-TEST(MoveEvaluator, DeltaPathMatchesFullEvaluation) {
+TEST(SearchState, DeltaPathMatchesFullEvaluation) {
   for (const Instance& instance : Instances()) {
     const auto compact8 =
         data::CompactRatingMatrix::FromMatrix(instance.matrix, 8);
@@ -220,18 +264,18 @@ TEST(MoveEvaluator, DeltaPathMatchesFullEvaluation) {
           for (const int k : {1, 3, items + 2}) {
             const FormationProblem problem = Problem(
                 backend.matrix, backend.compact, missing, aggregation, k);
-            ASSERT_TRUE(MoveEvaluator::InDeltaScope(problem));
+            ASSERT_TRUE(SearchState::InDeltaScope(problem));
             const std::string label =
                 instance.name + "/" + backend.name + "/" +
                 (missing == MissingRatingPolicy::kZero ? "zero" : "rmin") +
                 "/" + grouprec::AggregationToString(aggregation) + "/k" +
                 std::to_string(k);
             for (const std::uint64_t seed : {1u, 2u}) {
-              ExpectMovesMatchAfterRebuilds(
+              ExpectStateFollowsMoves(
                   problem,
                   SeededPartition(instance.matrix.num_users(), 6,
                                   seed * 7 + static_cast<std::uint64_t>(k)),
-                  Insert::kSortAll, seed, label);
+                  Insert::kSortAll, seed, /*steps=*/4, label);
             }
           }
         }
@@ -240,7 +284,7 @@ TEST(MoveEvaluator, DeltaPathMatchesFullEvaluation) {
   }
 }
 
-TEST(MoveEvaluator, SharedMinimaAndRatingsAtTheScaleMinimum) {
+TEST(SearchState, SharedMinimaAndRatingsAtTheScaleMinimum) {
   // In group {0, 1, 2, 3}: users 0, 1 and 3 share item 0's minimum 2, so
   // removing any one of them keeps it; user 2 alone holds item 2's minimum
   // 1 (= scale.min). Item 1 is complete only without user 3, and item 3
@@ -264,14 +308,14 @@ TEST(MoveEvaluator, SharedMinimaAndRatingsAtTheScaleMinimum) {
         const FormationProblem problem =
             Problem(&sparse, nullptr, missing, aggregation, k);
         std::vector<std::vector<UserId>> groups = {{0, 1, 2, 3}, {4}, {}};
-        ExpectMovesMatchAfterRebuilds(problem, groups, Insert::kSortAll, 3,
-                                      "shared-minima");
+        ExpectStateFollowsMoves(problem, groups, Insert::kSortAll, 3,
+                                /*steps=*/4, "shared-minima");
       }
     }
   }
 }
 
-TEST(MoveEvaluator, OutOfScopeProblemsTakeTheFullPath) {
+TEST(SearchState, OutOfScopeProblemsTakeTheFullPath) {
   const auto positive = RandomMatrix(16, 9, 0.7, {1.0, 5.0}, 21);
   // A scale reaching below zero: under `zero`, an incomplete item scores
   // min(observed minimum, 0), which is not a constant floor.
@@ -299,15 +343,53 @@ TEST(MoveEvaluator, OutOfScopeProblemsTakeTheFullPath) {
           Problem(c.matrix, nullptr, c.missing, Aggregation::kSum, 3);
       problem.semantics = c.semantics;
       problem.candidate_depth = c.candidate_depth;
-      EXPECT_FALSE(MoveEvaluator::InDeltaScope(problem)) << c.name;
-      ExpectMovesMatchAfterRebuilds(problem, SeededPartition(16, 5, 4),
-                                    insert, 5, c.name);
+      EXPECT_FALSE(SearchState::InDeltaScope(problem)) << c.name;
+      ExpectStateFollowsMoves(problem, SeededPartition(16, 5, 4), insert,
+                              5, /*steps=*/4, c.name);
     }
   }
   // The scope boundary itself: zero is in scope from scale.min = 0 up.
   const auto at_zero = RandomMatrix(8, 5, 0.7, {0.0, 4.0}, 23);
-  EXPECT_TRUE(MoveEvaluator::InDeltaScope(Problem(
+  EXPECT_TRUE(SearchState::InDeltaScope(Problem(
       &at_zero, nullptr, MissingRatingPolicy::kZero, Aggregation::kMin, 2)));
+}
+
+TEST(SearchState, StateMatchesAFreshStateAfterEveryMove) {
+  // Long move sequences from unsorted random splits, under both placement
+  // rules, on the delta path (LM with rmin or zero) and the full path (AV,
+  // and LM with skip): every applied move must leave the same state a
+  // fresh build of the moved member lists has.
+  const auto matrix = RandomMatrix(20, 10, 0.8, {1.0, 5.0}, 31);
+  struct Case {
+    const char* name;
+    Semantics semantics;
+    MissingRatingPolicy missing;
+  };
+  const Case cases[] = {
+      {"lm-rmin", Semantics::kLeastMisery, MissingRatingPolicy::kScaleMin},
+      {"lm-zero", Semantics::kLeastMisery, MissingRatingPolicy::kZero},
+      {"av-rmin", Semantics::kAggregateVoting,
+       MissingRatingPolicy::kScaleMin},
+      {"lm-skip", Semantics::kLeastMisery, MissingRatingPolicy::kSkipUser},
+  };
+  for (const Case& c : cases) {
+    for (const Insert insert : {Insert::kSortAll, Insert::kLowerBound}) {
+      for (const std::uint64_t seed : {41u, 42u}) {
+        FormationProblem problem =
+            Problem(&matrix, nullptr, c.missing, Aggregation::kSum, 3);
+        problem.semantics = c.semantics;
+        const bool delta = c.semantics == Semantics::kLeastMisery &&
+                           c.missing != MissingRatingPolicy::kSkipUser;
+        ASSERT_EQ(SearchState::InDeltaScope(problem), delta) << c.name;
+        const std::string label =
+            std::string(c.name) +
+            (insert == Insert::kSortAll ? "/sort-all" : "/lower-bound") +
+            "/seed" + std::to_string(seed);
+        ExpectStateFollowsMoves(problem, SeededPartition(20, 6, seed),
+                                insert, seed, /*steps=*/24, label);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// SimulatedAnnealingSolver: seed domination, validity, determinism, and
-// closeness to the optimum on small instances.
+// SimulatedAnnealingSolver: seed domination, validity, determinism,
+// closeness to the optimum on small instances, and the registry's
+// refusal of a cooling interval below 1.
 #include <gtest/gtest.h>
 
 #include "core/greedy.h"
+#include "core/solver_registry.h"
 #include "data/synthetic.h"
 #include "exact/simulated_annealing.h"
+#include "exact/register_solvers.h"
 #include "exact/subset_dp.h"
 #include "grouprec/semantics.h"
 
@@ -99,6 +102,32 @@ TEST(SimulatedAnnealing, SingleGroupDegeneratesGracefully) {
   ASSERT_TRUE(sa.ok());
   EXPECT_EQ(sa->num_groups(), 1);
   EXPECT_TRUE(core::ValidatePartition(problem, *sa).ok());
+}
+
+TEST(SimulatedAnnealing, RegistryRefusesACoolingIntervalBelowOne) {
+  exact::RegisterExactSolvers();  // idempotent: duplicates are rejected
+  auto& registry = core::SolverRegistry::Global();
+  const auto matrix = data::GenerateClusteredDense(10, 6, 2, 89);
+  const auto problem =
+      Problem(matrix, Semantics::kLeastMisery, Aggregation::kMin, 2, 3);
+  for (const char* name : {"sa", "anytime:sa"}) {
+    for (const char* interval : {"0", "-3", "zebra"}) {
+      const auto refused = registry.Create(
+          name, problem,
+          core::SolverOptions().Set("cooling_interval", interval));
+      ASSERT_FALSE(refused.ok()) << name << " " << interval;
+      EXPECT_EQ(refused.status().code(),
+                common::StatusCode::kInvalidArgument)
+          << name << " " << interval;
+      EXPECT_NE(refused.status().message().find("cooling_interval"),
+                std::string::npos)
+          << name;
+    }
+    const auto accepted = registry.Create(
+        name, problem, core::SolverOptions().Set("cooling_interval", "1"));
+    ASSERT_TRUE(accepted.ok()) << name << " " << accepted.status();
+    EXPECT_TRUE((*accepted)->Solve().ok()) << name;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // End-to-end pipeline: generate sparse data -> train a predictor ->
-// densify -> form groups (several solvers) -> evaluate -> expand with
-// overlaps. Exercises the seams between the modules rather than any one
-// module.
+// densify -> form groups (several solvers) -> evaluate. Exercises the
+// seams between the modules rather than any one module.
 #include <gtest/gtest.h>
 
 #include "baseline/cluster_baseline.h"
 #include "core/greedy.h"
 #include "core/incremental.h"
-#include "core/overlap.h"
 #include "data/synthetic.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
@@ -61,14 +59,6 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   const double ndcg = eval::MeanUserNdcg(problem, *formed);
   EXPECT_GT(ndcg, 0.0);
   EXPECT_LE(ndcg, 1.0 + 1e-9);
-
-  // 6. Overlap expansion only improves per-user coverage.
-  core::OverlapOptions overlap_options;
-  overlap_options.min_ndcg = 0.6;
-  const auto overlap =
-      core::ExpandWithOverlaps(problem, *formed, overlap_options);
-  ASSERT_TRUE(overlap.ok());
-  EXPECT_GE(overlap->mean_best_ndcg, ndcg - 1e-9);
 }
 
 TEST(Pipeline, IncrementalRoundsTrackArrivalsAndDepartures) {

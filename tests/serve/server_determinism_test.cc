@@ -217,6 +217,46 @@ TEST_F(ServerDeterminismTest, MixedOutcomeStreamKeepsOrderAndStates) {
   }
 }
 
+TEST_F(ServerDeterminismTest, ZeroCoolingIntervalIsErrAndTheNextLineRuns) {
+  // sa proposes a cooling step every cooling_interval proposals; 0 must
+  // be refused at Create, not divide by zero inside the server.
+  common::ThreadPool::SetDefaultThreadCount(1);
+  std::string requests;
+  for (const char* solver : {"sa", "anytime:sa", "greedy"}) {
+    Request request;
+    request.id = solver;
+    request.solver = solver;
+    if (request.solver != "greedy") {
+      request.options.Set("cooling_interval", "0");
+    }
+    request.instance.kind = "dense";
+    request.instance.users = 8;
+    request.instance.items = 5;
+    requests += RenderRequest(request) + "\n";
+  }
+  Session session;
+  std::istringstream in(requests);
+  std::ostringstream out;
+  EXPECT_EQ(ServePipe(session, in, out, /*max_inflight=*/1), 3);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<Response> responses;
+  while (std::getline(lines, line)) {
+    const auto response = ParseResponseLine(line);
+    ASSERT_TRUE(response.ok()) << response.status();
+    responses.push_back(*response);
+  }
+  ASSERT_EQ(responses.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(responses[i].state, eval::SweepCellState::kErr) << i;
+    EXPECT_EQ(responses[i].status.code(),
+              common::StatusCode::kInvalidArgument)
+        << i;
+  }
+  EXPECT_EQ(responses[2].id, "greedy");
+  EXPECT_EQ(responses[2].state, eval::SweepCellState::kOk);
+}
+
 TEST_F(ServerDeterminismTest, EmptyAndBlankLinesAreIgnored) {
   common::ThreadPool::SetDefaultThreadCount(1);
   Session session;
