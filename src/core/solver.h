@@ -2,6 +2,7 @@
 #define GROUPFORM_CORE_SOLVER_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,12 +49,13 @@ class SolverOptions {
 
   /// Strict integer getter for knobs where a bad override must fail the
   /// registry lookup instead of silently keeping the default: absent key
-  /// → `fallback`; present but non-numeric, or parsed below `min_value`,
-  /// → INVALID_ARGUMENT naming the key and value. Factories surface the
-  /// error through SolverRegistry::Create.
-  common::StatusOr<long long> GetCheckedInt(const std::string& key,
-                                            long long fallback,
-                                            long long min_value) const;
+  /// → `fallback`; present but non-numeric, or parsed outside
+  /// [`min_value`, `max_value`], → INVALID_ARGUMENT naming the key and
+  /// value. Factories surface the error through SolverRegistry::Create;
+  /// a knob stored in an `int` passes INT_MAX as `max_value`.
+  common::StatusOr<long long> GetCheckedInt(
+      const std::string& key, long long fallback, long long min_value,
+      long long max_value = std::numeric_limits<long long>::max()) const;
 
   /// Typed access to kStartAssignmentKey (implemented in delta.cc). Set
   /// stores the partition in its canonical string encoding; Get returns

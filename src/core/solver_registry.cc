@@ -21,7 +21,8 @@ double SolverOptions::GetDouble(const std::string& key,
 }
 
 common::StatusOr<long long> SolverOptions::GetCheckedInt(
-    const std::string& key, long long fallback, long long min_value) const {
+    const std::string& key, long long fallback, long long min_value,
+    long long max_value) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
   long long parsed = 0;
@@ -34,6 +35,11 @@ common::StatusOr<long long> SolverOptions::GetCheckedInt(
     return common::Status::InvalidArgument(common::StrFormat(
         "solver option '%s' must be >= %lld, got %lld", key.c_str(),
         min_value, parsed));
+  }
+  if (parsed > max_value) {
+    return common::Status::InvalidArgument(common::StrFormat(
+        "solver option '%s' must be <= %lld, got %lld", key.c_str(),
+        max_value, parsed));
   }
   return parsed;
 }

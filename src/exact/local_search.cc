@@ -128,12 +128,11 @@ std::vector<PlannedMove> PlanPassMoves(
     std::span<const double> satisfaction, std::span<const int> group_of,
     std::span<const UserId> visit_order, std::uint64_t pass_seed,
     const LocalSearchSolver::Options& options) {
-  ScoredPartition snapshot{{groups.begin(), groups.end()},
-                           {satisfaction.begin(), satisfaction.end()}};
-  snapshot.objective =
-      std::accumulate(satisfaction.begin(), satisfaction.end(), 0.0);
-  const SearchState state(problem, scorer, std::move(snapshot),
-                          SearchState::Insert::kSortAll);
+  const SearchState state(
+      problem, scorer,
+      {{groups.begin(), groups.end()},
+       {satisfaction.begin(), satisfaction.end()}},
+      SearchState::Insert::kSortAll);
   GF_CHECK(std::ranges::equal(group_of, state.group_of()));
   return PlanPass(state, visit_order, pass_seed, options);
 }
@@ -196,7 +195,7 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
   if (!warm_groups.empty()) {
     ScoredPartition warm =
         ScorePartition(problem_, scorer, std::move(warm_groups));
-    if (!options_.init_with_greedy || warm.objective >= start.objective) {
+    if (!options_.init_with_greedy || warm.Objective() >= start.Objective()) {
       start = std::move(warm);
     }
   }

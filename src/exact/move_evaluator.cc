@@ -67,7 +67,6 @@ ScoredPartition ScorePartition(const core::FormationProblem& problem,
       core::ScoreGroups(problem, scorer, groups);
   for (const core::GroupScore& score : scores) {
     partition.satisfaction.push_back(score.satisfaction);
-    partition.objective += score.satisfaction;
   }
   partition.groups = std::move(groups);
   return partition;
@@ -132,8 +131,8 @@ SearchState::SearchState(const core::FormationProblem& problem,
       delta_(InDeltaScope(problem)),
       groups_(std::move(start.groups)),
       group_of_(static_cast<std::size_t>(problem.Store().num_users()), 0),
-      satisfaction_(std::move(start.satisfaction)),
-      objective_(start.objective) {
+      objective_(start.Objective()),
+      satisfaction_(std::move(start.satisfaction)) {
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     for (const UserId u : groups_[g]) {
       group_of_[static_cast<std::size_t>(u)] = static_cast<int>(g);

@@ -1,6 +1,7 @@
 #ifndef GROUPFORM_EXACT_MOVE_EVALUATOR_H_
 #define GROUPFORM_EXACT_MOVE_EVALUATOR_H_
 
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -17,12 +18,16 @@ namespace groupform::exact {
 struct ScoredPartition {
   std::vector<std::vector<UserId>> groups;
   std::vector<double> satisfaction;
-  /// The satisfactions summed in group order.
-  double objective = 0.0;
+
+  /// The satisfactions summed serially in group order, so the objective
+  /// is thread-count-invariant.
+  double Objective() const {
+    return std::accumulate(satisfaction.begin(), satisfaction.end(), 0.0);
+  }
 };
 
 /// Scores every group of `groups` in one core::ScoreGroups batch on the
-/// shared pool; the serial sum keeps the objective thread-count-invariant.
+/// shared pool.
 ScoredPartition ScorePartition(const core::FormationProblem& problem,
                                const grouprec::GroupScorer& scorer,
                                std::vector<std::vector<UserId>> groups);
@@ -141,8 +146,8 @@ class SearchState {
   double floor_ = 0.0;
   std::vector<std::vector<UserId>> groups_;
   std::vector<int> group_of_;
+  double objective_;  // initialised from `start` before satisfaction_
   std::vector<double> satisfaction_;
-  double objective_;
   /// Per group, its near-complete items in item order (groups of size
   /// >= 2 only; smaller groups are scored from their rows).
   std::vector<std::vector<NearItem>> near_;

@@ -1,5 +1,6 @@
 #include "exact/register_solvers.h"
 
+#include <limits>
 #include <memory>
 
 #include "core/solver_registry.h"
@@ -47,11 +48,13 @@ common::StatusOr<SimulatedAnnealingSolver::Options> MakeSaOptions(
   opt.iterations = AsInt(options, "iterations", opt.iterations);
   opt.cooling = options.GetDouble("cooling", opt.cooling);
   // The cooling step runs every `cooling_interval` proposals: 0 would
-  // divide by zero, so the interval is strict-parsed with a floor of 1.
-  GF_ASSIGN_OR_RETURN(const long long cooling_interval,
-                      options.GetCheckedInt("cooling_interval",
-                                            opt.cooling_interval,
-                                            /*min_value=*/1));
+  // divide by zero, so the interval is strict-parsed into [1, INT_MAX]
+  // (a larger value would wrap to 0 or below in the int field).
+  GF_ASSIGN_OR_RETURN(
+      const long long cooling_interval,
+      options.GetCheckedInt("cooling_interval", opt.cooling_interval,
+                            /*min_value=*/1,
+                            /*max_value=*/std::numeric_limits<int>::max()));
   opt.cooling_interval = static_cast<int>(cooling_interval);
   opt.swap_fraction = options.GetDouble("swap_fraction", opt.swap_fraction);
   opt.init_with_greedy =

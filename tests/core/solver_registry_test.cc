@@ -225,6 +225,14 @@ TEST(SolverOptions, GetCheckedIntValidatesPresentValues) {
   const auto negative_ok = options.GetCheckedInt("negative", 0, -10);
   ASSERT_TRUE(negative_ok.ok());
   EXPECT_EQ(*negative_ok, -7);
+  // max_value is an inclusive ceiling; the default admits any int64.
+  options.Set("big", "4294967296");
+  EXPECT_EQ(options.GetCheckedInt("big", 0, 0, 4294967295LL).status().code(),
+            common::StatusCode::kInvalidArgument);
+  const auto at_ceiling = options.GetCheckedInt("big", 0, 0, 4294967296LL);
+  ASSERT_TRUE(at_ceiling.ok());
+  EXPECT_EQ(*at_ceiling, 4294967296LL);
+  EXPECT_TRUE(options.GetCheckedInt("big", 0, 0).ok());
 }
 
 TEST(SolverOptions, TypedGettersFallBackOnMissingOrMalformed) {

@@ -104,14 +104,16 @@ TEST(SimulatedAnnealing, SingleGroupDegeneratesGracefully) {
   EXPECT_TRUE(core::ValidatePartition(problem, *sa).ok());
 }
 
-TEST(SimulatedAnnealing, RegistryRefusesACoolingIntervalBelowOne) {
+TEST(SimulatedAnnealing, RegistryRefusesACoolingIntervalOutsideTheIntRange) {
   exact::RegisterExactSolvers();  // idempotent: duplicates are rejected
   auto& registry = core::SolverRegistry::Global();
   const auto matrix = data::GenerateClusteredDense(10, 6, 2, 89);
   const auto problem =
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMin, 2, 3);
   for (const char* name : {"sa", "anytime:sa"}) {
-    for (const char* interval : {"0", "-3", "zebra"}) {
+    // 2^31 and 2^32 would wrap to INT_MIN and 0 in the int field.
+    for (const char* interval :
+         {"0", "-3", "zebra", "2147483648", "4294967296"}) {
       const auto refused = registry.Create(
           name, problem,
           core::SolverOptions().Set("cooling_interval", interval));
@@ -123,10 +125,13 @@ TEST(SimulatedAnnealing, RegistryRefusesACoolingIntervalBelowOne) {
                 std::string::npos)
           << name;
     }
-    const auto accepted = registry.Create(
-        name, problem, core::SolverOptions().Set("cooling_interval", "1"));
-    ASSERT_TRUE(accepted.ok()) << name << " " << accepted.status();
-    EXPECT_TRUE((*accepted)->Solve().ok()) << name;
+    for (const char* interval : {"1", "2147483647"}) {
+      const auto accepted = registry.Create(
+          name, problem,
+          core::SolverOptions().Set("cooling_interval", interval));
+      ASSERT_TRUE(accepted.ok()) << name << " " << accepted.status();
+      EXPECT_TRUE((*accepted)->Solve().ok()) << name << " " << interval;
+    }
   }
 }
 

@@ -217,27 +217,38 @@ TEST_F(ServerDeterminismTest, MixedOutcomeStreamKeepsOrderAndStates) {
   }
 }
 
-TEST_F(ServerDeterminismTest, ZeroCoolingIntervalIsErrAndTheNextLineRuns) {
-  // sa proposes a cooling step every cooling_interval proposals; 0 must
-  // be refused at Create, not divide by zero inside the server.
+TEST_F(ServerDeterminismTest, BadCoolingIntervalIsErrAndTheNextLineRuns) {
+  // sa proposes a cooling step every cooling_interval proposals; 0, and
+  // 2^32 (which an int cast would wrap to 0), must be refused at Create,
+  // not divide by zero inside the server.
   common::ThreadPool::SetDefaultThreadCount(1);
   std::string requests;
-  for (const char* solver : {"sa", "anytime:sa", "greedy"}) {
-    Request request;
-    request.id = solver;
-    request.solver = solver;
-    if (request.solver != "greedy") {
-      request.options.Set("cooling_interval", "0");
+  std::size_t refused = 0;
+  for (const char* interval : {"0", "4294967296"}) {
+    for (const char* solver : {"sa", "anytime:sa"}) {
+      Request request;
+      request.id = std::string(solver) + "/" + interval;
+      request.solver = solver;
+      request.options.Set("cooling_interval", interval);
+      request.instance.kind = "dense";
+      request.instance.users = 8;
+      request.instance.items = 5;
+      requests += RenderRequest(request) + "\n";
+      ++refused;
     }
-    request.instance.kind = "dense";
-    request.instance.users = 8;
-    request.instance.items = 5;
-    requests += RenderRequest(request) + "\n";
   }
+  Request greedy;
+  greedy.id = "greedy";
+  greedy.solver = "greedy";
+  greedy.instance.kind = "dense";
+  greedy.instance.users = 8;
+  greedy.instance.items = 5;
+  requests += RenderRequest(greedy) + "\n";
   Session session;
   std::istringstream in(requests);
   std::ostringstream out;
-  EXPECT_EQ(ServePipe(session, in, out, /*max_inflight=*/1), 3);
+  EXPECT_EQ(ServePipe(session, in, out, /*max_inflight=*/1),
+            static_cast<long long>(refused + 1));
   std::istringstream lines(out.str());
   std::string line;
   std::vector<Response> responses;
@@ -246,15 +257,16 @@ TEST_F(ServerDeterminismTest, ZeroCoolingIntervalIsErrAndTheNextLineRuns) {
     ASSERT_TRUE(response.ok()) << response.status();
     responses.push_back(*response);
   }
-  ASSERT_EQ(responses.size(), 3u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(responses[i].state, eval::SweepCellState::kErr) << i;
+  ASSERT_EQ(responses.size(), refused + 1);
+  for (std::size_t i = 0; i < refused; ++i) {
+    EXPECT_EQ(responses[i].state, eval::SweepCellState::kErr)
+        << responses[i].id;
     EXPECT_EQ(responses[i].status.code(),
               common::StatusCode::kInvalidArgument)
-        << i;
+        << responses[i].id;
   }
-  EXPECT_EQ(responses[2].id, "greedy");
-  EXPECT_EQ(responses[2].state, eval::SweepCellState::kOk);
+  EXPECT_EQ(responses[refused].id, "greedy");
+  EXPECT_EQ(responses[refused].state, eval::SweepCellState::kOk);
 }
 
 TEST_F(ServerDeterminismTest, EmptyAndBlankLinesAreIgnored) {
