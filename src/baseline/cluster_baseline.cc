@@ -9,7 +9,6 @@ namespace groupform::baseline {
 
 using common::StatusOr;
 using core::FormationResult;
-using core::FormedGroup;
 
 std::string BaselineFormer::AlgorithmName(
     const core::FormationProblem& problem) {
@@ -69,21 +68,9 @@ StatusOr<FormationResult> BaselineFormer::Run() const {
     const std::int32_t c = clustering.assignment[static_cast<std::size_t>(u)];
     clusters[static_cast<std::size_t>(c)].push_back(u);
   }
-  const grouprec::GroupScorer scorer = problem_.MakeScorer();
-  std::vector<core::GroupScore> scores =
-      core::ScoreGroups(problem_, scorer, clusters);
-  FormationResult result;
+  FormationResult result =
+      core::PackageGroups(problem_, problem_.MakeScorer(), clusters);
   result.algorithm = AlgorithmName(problem_);
-  for (std::int32_t c = 0; c < ell; ++c) {
-    auto& members = clusters[static_cast<std::size_t>(c)];
-    if (members.empty()) continue;
-    FormedGroup group;
-    group.members = std::move(members);
-    group.recommendation = std::move(scores[static_cast<std::size_t>(c)].list);
-    group.satisfaction = scores[static_cast<std::size_t>(c)].satisfaction;
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
-  }
   return result;
 }
 

@@ -19,28 +19,32 @@ void RegisterBaselineSolvers() {
 
   (void)registry.Register(
       BaselineFormer::kRegistryName, BaselineFormer::kSolverDescription,
-      [](const FormationProblem& problem, const SolverOptions& options) {
+      [](const FormationProblem& problem,
+         const SolverOptions& options) -> SolverOr {
+        // Every knob is strict; 0 disables the one it names (no Lloyd
+        // step, no medoid sampling, no distance cache, no truncation).
         BaselineFormer::Options opt;
-        opt.max_iterations = static_cast<int>(
-            options.GetInt("max_iterations", opt.max_iterations));
-        opt.medoid_candidates = static_cast<int>(
-            options.GetInt("medoid_candidates", opt.medoid_candidates));
-        opt.cache_pairwise_up_to = static_cast<std::int32_t>(options.GetInt(
-            "cache_pairwise_up_to", opt.cache_pairwise_up_to));
-        opt.kendall.truncate = static_cast<std::int32_t>(
-            options.GetInt("kendall_truncate", opt.kendall.truncate));
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("max_iterations", 0, &opt.max_iterations));
+        GF_RETURN_IF_ERROR(options.ReadCheckedInt("medoid_candidates", 0,
+                                                  &opt.medoid_candidates));
+        GF_RETURN_IF_ERROR(options.ReadCheckedInt(
+            "cache_pairwise_up_to", 0, &opt.cache_pairwise_up_to));
+        GF_RETURN_IF_ERROR(options.ReadCheckedInt("kendall_truncate", 0,
+                                                  &opt.kendall.truncate));
         return SolverOr(std::make_unique<BaselineFormer>(problem, opt));
       });
 
   (void)registry.Register(
       VectorKMeansFormer::kRegistryName,
       VectorKMeansFormer::kSolverDescription,
-      [](const FormationProblem& problem, const SolverOptions& options) {
+      [](const FormationProblem& problem,
+         const SolverOptions& options) -> SolverOr {
         VectorKMeansFormer::Options opt;
-        opt.max_iterations = static_cast<int>(
-            options.GetInt("max_iterations", opt.max_iterations));
-        opt.top_items = static_cast<std::int32_t>(
-            options.GetInt("top_items", opt.top_items));
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("max_iterations", 0, &opt.max_iterations));
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("top_items", 0, &opt.top_items));
         return SolverOr(
             std::make_unique<VectorKMeansFormer>(problem, opt));
       });

@@ -11,7 +11,6 @@ namespace groupform::baseline {
 
 using common::StatusOr;
 using core::FormationResult;
-using core::FormedGroup;
 
 StatusOr<FormationResult> VectorKMeansFormer::Run() const {
   GF_RETURN_IF_ERROR(problem_.Validate());
@@ -153,23 +152,11 @@ StatusOr<FormationResult> VectorKMeansFormer::Run() const {
                  assignment[static_cast<std::size_t>(u)])]
         .push_back(u);
   }
-  const grouprec::GroupScorer scorer = problem_.MakeScorer();
-  std::vector<core::GroupScore> scores =
-      core::ScoreGroups(problem_, scorer, clusters);
-  FormationResult result;
+  FormationResult result =
+      core::PackageGroups(problem_, problem_.MakeScorer(), clusters);
   result.algorithm = common::StrFormat(
       "VecKMeans-%s-%s", grouprec::SemanticsToString(problem_.semantics),
       grouprec::AggregationToString(problem_.aggregation));
-  for (std::int32_t c = 0; c < ell; ++c) {
-    auto& members = clusters[static_cast<std::size_t>(c)];
-    if (members.empty()) continue;
-    FormedGroup group;
-    group.members = std::move(members);
-    group.recommendation = std::move(scores[static_cast<std::size_t>(c)].list);
-    group.satisfaction = scores[static_cast<std::size_t>(c)].satisfaction;
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
-  }
   return result;
 }
 

@@ -272,11 +272,9 @@ FormationResult SelectAndAssemble(
     FormedGroup residual;
     residual.members = std::move(residual_members);
     std::sort(residual.members.begin(), residual.members.end());
-    residual.recommendation =
-        ComputeGroupList(problem, scorer, residual.members);
-    residual.satisfaction = AggregateListSatisfaction(
-        problem, static_cast<int>(residual.members.size()),
-        residual.recommendation);
+    GroupScore score = ScoreGroup(problem, scorer, residual.members);
+    residual.recommendation = std::move(score.list);
+    residual.satisfaction = score.satisfaction;
     result.objective += residual.satisfaction;
     result.groups.push_back(std::move(residual));
   }

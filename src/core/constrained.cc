@@ -425,28 +425,6 @@ Status MergeUndersized(const FormationProblem& problem,
   }
 }
 
-/// Honest packaging: recompute every group's list and satisfaction from
-/// scratch, drop empty slots.
-FormationResult PackageResult(const FormationProblem& problem,
-                              const grouprec::GroupScorer& scorer,
-                              const Partition& partition,
-                              std::string algorithm) {
-  FormationResult result;
-  result.algorithm = std::move(algorithm);
-  for (const auto& members : partition.groups) {
-    if (members.empty()) continue;
-    FormedGroup group;
-    group.members = members;
-    group.recommendation = ComputeGroupList(problem, scorer, group.members);
-    group.satisfaction = AggregateListSatisfaction(
-        problem, static_cast<int>(group.members.size()),
-        group.recommendation);
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
-  }
-  return result;
-}
-
 std::string ConstrainedLabel(const FormationProblem& problem,
                              const ConstraintSpec& spec) {
   std::string label = GreedyFormer::AlgorithmName(problem);
@@ -680,8 +658,8 @@ StatusOr<FormationResult> ConstrainedGreedySolver::Solve(
       spec.has_min_user_sat
           ? RepairFloor(problem, scorer, spec, links, partition)
           : 0;
-  FormationResult result = PackageResult(problem, scorer, partition,
-                                         ConstrainedLabel(problem, spec));
+  FormationResult result = PackageGroups(problem, scorer, partition.groups);
+  result.algorithm = ConstrainedLabel(problem, spec);
   result.floor_violations = floor_violations;
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -143,21 +144,41 @@ grouprec::GroupTopK ComputeGroupList(const FormationProblem& problem,
   return scorer.TopKUnionCandidates(members, problem.k, depth);
 }
 
+GroupScore ScoreGroup(const FormationProblem& problem,
+                      const grouprec::GroupScorer& scorer,
+                      std::span<const UserId> members) {
+  GroupScore score;
+  if (members.empty()) return score;
+  score.list = ComputeGroupList(problem, scorer, members);
+  score.satisfaction = AggregateListSatisfaction(
+      problem, static_cast<int>(members.size()), score.list);
+  return score;
+}
+
 std::vector<GroupScore> ScoreGroups(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
     std::span<const std::vector<UserId>> groups) {
   std::vector<GroupScore> scores(groups.size());
   common::ThreadPool::Shared().ParallelFor(
       static_cast<std::int64_t>(groups.size()), [&](std::int64_t g) {
-        const std::vector<UserId>& members =
-            groups[static_cast<std::size_t>(g)];
-        if (members.empty()) return;  // slot keeps {empty list, 0.0}
-        GroupScore& out = scores[static_cast<std::size_t>(g)];
-        out.list = ComputeGroupList(problem, scorer, members);
-        out.satisfaction = AggregateListSatisfaction(
-            problem, static_cast<int>(members.size()), out.list);
+        scores[static_cast<std::size_t>(g)] =
+            ScoreGroup(problem, scorer, groups[static_cast<std::size_t>(g)]);
       });
   return scores;
+}
+
+FormationResult PackageGroups(const FormationProblem& problem,
+                              const grouprec::GroupScorer& scorer,
+                              std::span<const std::vector<UserId>> groups) {
+  std::vector<GroupScore> scores = ScoreGroups(problem, scorer, groups);
+  FormationResult result;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].empty()) continue;
+    result.objective += scores[g].satisfaction;
+    result.groups.push_back(
+        {groups[g], std::move(scores[g].list), scores[g].satisfaction});
+  }
+  return result;
 }
 
 double MissingSlotScore(const FormationProblem& problem, int group_size) {

@@ -129,22 +129,33 @@ grouprec::GroupTopK ComputeGroupList(const FormationProblem& problem,
                                      std::span<const UserId> members);
 
 /// One group's recommendation and aggregated satisfaction, as produced by
-/// ScoreGroups.
+/// ScoreGroup.
 struct GroupScore {
   grouprec::GroupTopK list;
   double satisfaction = 0.0;
 };
 
-/// Batch top-k scoring: ComputeGroupList + AggregateListSatisfaction for
-/// every group in `groups`, in parallel on common::ThreadPool::Shared().
-/// This is the rescoring hot path shared by the clustering baselines,
-/// local search, and objective recomputation. Groups are independent pool
-/// tasks, each writing its own output slot, so the result is identical at
-/// every thread count (DESIGN.md §10.3); empty groups score 0 with an
-/// empty list.
+/// The group-scoring rule of the objective (§2.4): ComputeGroupList +
+/// AggregateListSatisfaction. An empty group scores 0 with an empty list.
+GroupScore ScoreGroup(const FormationProblem& problem,
+                      const grouprec::GroupScorer& scorer,
+                      std::span<const UserId> members);
+
+/// Batch ScoreGroup over every group in `groups`, in parallel on
+/// common::ThreadPool::Shared(). Groups are independent pool tasks, each
+/// writing its own output slot, so the result is identical at every
+/// thread count (DESIGN.md §10.3).
 std::vector<GroupScore> ScoreGroups(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
     std::span<const std::vector<UserId>> groups);
+
+/// `groups` as a result: every non-empty group, in group order, with its
+/// top-k list and satisfaction from one ScoreGroups batch; the objective
+/// is their sum in group order. The caller sets `algorithm`. Every solver
+/// except greedy's bucket assembly packages its partition here.
+FormationResult PackageGroups(const FormationProblem& problem,
+                              const grouprec::GroupScorer& scorer,
+                              std::span<const std::vector<UserId>> groups);
 
 /// The score of a conceptual list slot no rated item can fill: the value an
 /// item unrated by every group member receives under the problem's missing

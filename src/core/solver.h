@@ -38,24 +38,34 @@ class SolverOptions {
     return entries_.find(key) != entries_.end();
   }
 
-  /// Typed getters: return `fallback` when the key is absent or the value
-  /// does not parse (factories treat malformed overrides as "keep the
-  /// solver default" rather than failing a whole experiment sweep).
+  /// Lenient getters: return `fallback` when the key is absent or the
+  /// value does not parse (factories treat a malformed double or bool as
+  /// "keep the solver default" rather than failing a whole sweep).
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
-  long long GetInt(const std::string& key, long long fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
-  /// Strict integer getter for knobs where a bad override must fail the
-  /// registry lookup instead of silently keeping the default: absent key
-  /// → `fallback`; present but non-numeric, or parsed outside
-  /// [`min_value`, `max_value`], → INVALID_ARGUMENT naming the key and
-  /// value. Factories surface the error through SolverRegistry::Create;
-  /// a knob stored in an `int` passes INT_MAX as `max_value`.
+  /// Strict integer getter: absent key → `fallback`; present but
+  /// non-numeric, or parsed outside [`min_value`, `max_value`], →
+  /// INVALID_ARGUMENT naming the key and value. Factories surface the
+  /// error through SolverRegistry::Create.
   common::StatusOr<long long> GetCheckedInt(
       const std::string& key, long long fallback, long long min_value,
       long long max_value = std::numeric_limits<long long>::max()) const;
+
+  /// GetCheckedInt into an integer field: an absent key keeps `*field`,
+  /// and the ceiling is the field type's maximum, so a value never wraps
+  /// in the cast. Every integer solver knob is read this way.
+  template <typename Int>
+  common::Status ReadCheckedInt(const std::string& key,
+                                long long min_value, Int* field) const {
+    GF_ASSIGN_OR_RETURN(const long long value,
+                        GetCheckedInt(key, *field, min_value,
+                                      std::numeric_limits<Int>::max()));
+    *field = static_cast<Int>(value);
+    return common::Status::Ok();
+  }
 
   /// Typed access to kStartAssignmentKey (implemented in delta.cc). Set
   /// stores the partition in its canonical string encoding; Get returns

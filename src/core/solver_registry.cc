@@ -4,14 +4,6 @@
 
 namespace groupform::core {
 
-long long SolverOptions::GetInt(const std::string& key,
-                                long long fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  long long parsed = 0;
-  return common::ParseInt64(it->second, &parsed) ? parsed : fallback;
-}
-
 double SolverOptions::GetDouble(const std::string& key,
                                 double fallback) const {
   const auto it = entries_.find(key);

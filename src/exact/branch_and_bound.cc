@@ -1,6 +1,7 @@
 #include "exact/branch_and_bound.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -12,18 +13,8 @@ namespace groupform::exact {
 namespace {
 
 using core::FormationResult;
-using core::FormedGroup;
 using grouprec::Aggregation;
 using grouprec::Semantics;
-
-/// Exact satisfaction of `members` as one group, full catalogue.
-double GroupSat(const core::FormationProblem& problem,
-                const grouprec::GroupScorer& scorer,
-                const std::vector<UserId>& members) {
-  const auto list = scorer.TopKAllItems(members, problem.k);
-  return core::AggregateListSatisfaction(
-      problem, static_cast<int>(members.size()), list);
-}
 
 struct SearchState {
   std::vector<std::vector<UserId>> groups;
@@ -47,13 +38,18 @@ common::StatusOr<FormationResult> BranchAndBoundSolver::Run() const {
         options_.max_users, n));
   }
   const int ell = std::min(problem_.max_groups, n);
+  // Group scores cover the full catalogue whatever candidate_depth says.
+  core::FormationProblem full_catalogue = problem_;
+  full_catalogue.candidate_depth = 0;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
   const bool lm = problem_.semantics == Semantics::kLeastMisery;
 
   // Solo scores and suffix bounds.
   std::vector<double> solo(static_cast<std::size_t>(n));
   for (UserId u = 0; u < n; ++u) {
-    solo[static_cast<std::size_t>(u)] = GroupSat(problem_, scorer, {u});
+    solo[static_cast<std::size_t>(u)] =
+        core::ScoreGroup(full_catalogue, scorer, std::span(&u, 1))
+            .satisfaction;
   }
   // For LM: suffix_top[u][t] = sum of the t largest solo scores among
   // users u..n-1 (t <= ell). For AV: each remaining user can add at most
@@ -143,7 +139,8 @@ common::StatusOr<FormationResult> BranchAndBoundSolver::Run() const {
       auto& members = state.groups[g];
       const double old_score = state.scores[g];
       members.push_back(u);
-      const double new_score = GroupSat(problem_, scorer, members);
+      const double new_score =
+          core::ScoreGroup(full_catalogue, scorer, members).satisfaction;
       state.scores[g] = new_score;
       state.objective += new_score - old_score;
       state.assignment[static_cast<std::size_t>(u)] = static_cast<int>(g);
@@ -170,24 +167,17 @@ common::StatusOr<FormationResult> BranchAndBoundSolver::Run() const {
   dfs(dfs, 0);
 
   // Package the incumbent.
-  FormationResult result;
-  result.algorithm = state.budget_exhausted ? "BNB*" : "BNB";
-  const int num_groups =
+  std::vector<std::vector<UserId>> groups(static_cast<std::size_t>(
       1 + *std::max_element(state.best_assignment.begin(),
-                            state.best_assignment.end());
-  for (int g = 0; g < num_groups; ++g) {
-    FormedGroup group;
-    for (UserId u = 0; u < n; ++u) {
-      if (state.best_assignment[static_cast<std::size_t>(u)] == g) {
-        group.members.push_back(u);
-      }
-    }
-    if (group.members.empty()) continue;
-    group.recommendation = scorer.TopKAllItems(group.members, problem_.k);
-    group.satisfaction = GroupSat(problem_, scorer, group.members);
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
+                            state.best_assignment.end())));
+  for (UserId u = 0; u < n; ++u) {
+    groups[static_cast<std::size_t>(
+               state.best_assignment[static_cast<std::size_t>(u)])]
+        .push_back(u);
   }
+  FormationResult result =
+      core::PackageGroups(full_catalogue, scorer, groups);
+  result.algorithm = state.budget_exhausted ? "BNB*" : "BNB";
   return result;
 }
 

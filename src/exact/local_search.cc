@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -95,7 +94,16 @@ PlannedMove PlanMoveForUser(const SearchState& state, UserId u,
   return move;
 }
 
-/// PlanPassMoves against `state`.
+}  // namespace
+
+common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u) {
+  // Golden-ratio spread of the user id over the pass seed; Rng's
+  // SplitMix64 expansion decorrelates the nearby seeds of nearby users.
+  return common::Rng(pass_seed +
+                     0x9e3779b97f4a7c15ULL *
+                         (static_cast<std::uint64_t>(u) + 1));
+}
+
 std::vector<PlannedMove> PlanPass(const SearchState& state,
                                   std::span<const UserId> visit_order,
                                   std::uint64_t pass_seed,
@@ -109,32 +117,6 @@ std::vector<PlannedMove> PlanPass(const SearchState& state,
   common::ThreadPool::Shared().ParallelFor(
       static_cast<std::int64_t>(visit_order.size()), /*grain=*/0, plan_one);
   return moves;
-}
-
-}  // namespace
-
-common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u) {
-  // Golden-ratio spread of the user id over the pass seed; Rng's
-  // SplitMix64 expansion decorrelates the nearby seeds of nearby users.
-  return common::Rng(pass_seed +
-                     0x9e3779b97f4a7c15ULL *
-                         (static_cast<std::uint64_t>(u) + 1));
-}
-
-std::vector<PlannedMove> PlanPassMoves(
-    const core::FormationProblem& problem,
-    const grouprec::GroupScorer& scorer,
-    std::span<const std::vector<UserId>> groups,
-    std::span<const double> satisfaction, std::span<const int> group_of,
-    std::span<const UserId> visit_order, std::uint64_t pass_seed,
-    const LocalSearchSolver::Options& options) {
-  const SearchState state(
-      problem, scorer,
-      {{groups.begin(), groups.end()},
-       {satisfaction.begin(), satisfaction.end()}},
-      SearchState::Insert::kSortAll);
-  GF_CHECK(std::ranges::equal(group_of, state.group_of()));
-  return PlanPass(state, visit_order, pass_seed, options);
 }
 
 common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
@@ -258,7 +240,8 @@ common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
     ++refine_passes;
   }
 
-  FormationResult result = PackageGroups(problem_, scorer, state.groups());
+  FormationResult result =
+      core::PackageGroups(problem_, scorer, state.groups());
   result.algorithm = "OPT*-LS";
   result.refine_passes = refine_passes;
   result.partial = partial;

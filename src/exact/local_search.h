@@ -12,6 +12,8 @@
 
 namespace groupform::exact {
 
+class SearchState;
+
 /// Hill-climbing refinement over full partitions: starting from the greedy
 /// solution (or a random ell-way split), each pass plans the best
 /// single-user relocation — or optionally a sampled two-user swap — for
@@ -119,21 +121,15 @@ class LocalSearchSolver : public core::FormationSolver {
 common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u);
 
 /// Plans the best move for every user of `visit_order` against the
-/// current partition snapshot (`groups`, the matching per-group
-/// `satisfaction`, and the matching user→group index `group_of`),
-/// batch-evaluating users on the shared pool. Slot i of the result is the
-/// move for visit_order[i]. Relocations are preferred over swaps (a swap
-/// is only planned when no relocation improves), matching the serial
-/// reference; exposed so tests can pin the parallel plan against an
-/// independent serial implementation
-/// (tests/exact/local_search_parallel_test.cc).
-std::vector<LocalSearchSolver::PlannedMove> PlanPassMoves(
-    const core::FormationProblem& problem,
-    const grouprec::GroupScorer& scorer,
-    std::span<const std::vector<UserId>> groups,
-    std::span<const double> satisfaction, std::span<const int> group_of,
-    std::span<const UserId> visit_order, std::uint64_t pass_seed,
-    const LocalSearchSolver::Options& options);
+/// pass-start partition in `state` (built with SearchState::Insert::
+/// kSortAll), batch-evaluating users on the shared pool. Slot i of the
+/// result is the move for visit_order[i]. Relocations are preferred over
+/// swaps (a swap is only planned when no relocation improves); exposed so
+/// tests can pin the parallel plan against an independent serial
+/// implementation (tests/exact/local_search_parallel_test.cc).
+std::vector<LocalSearchSolver::PlannedMove> PlanPass(
+    const SearchState& state, std::span<const UserId> visit_order,
+    std::uint64_t pass_seed, const LocalSearchSolver::Options& options);
 
 }  // namespace groupform::exact
 

@@ -94,22 +94,6 @@ common::StatusOr<ScoredPartition> SeedPartition(
   return ScorePartition(problem, scorer, std::move(groups));
 }
 
-core::FormationResult PackageGroups(
-    const core::FormationProblem& problem,
-    const grouprec::GroupScorer& scorer,
-    std::span<const std::vector<UserId>> groups) {
-  std::vector<core::GroupScore> scores =
-      core::ScoreGroups(problem, scorer, groups);
-  core::FormationResult result;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].empty()) continue;
-    result.objective += scores[g].satisfaction;
-    result.groups.push_back(
-        {groups[g], std::move(scores[g].list), scores[g].satisfaction});
-  }
-  return result;
-}
-
 bool SearchState::InDeltaScope(const core::FormationProblem& problem) {
   if (problem.semantics != grouprec::Semantics::kLeastMisery ||
       problem.candidate_depth != 0) {
@@ -253,10 +237,7 @@ double SearchState::Score(int g, UserId out, UserId in) const {
     candidate.assign(members.begin(), members.end());
     if (out != kInvalidUser) Erase(candidate, out);
     if (in != kInvalidUser) Place(candidate, in);
-    if (candidate.empty()) return 0.0;
-    const auto list = core::ComputeGroupList(problem_, scorer_, candidate);
-    return core::AggregateListSatisfaction(
-        problem_, static_cast<int>(candidate.size()), list);
+    return core::ScoreGroup(problem_, scorer_, candidate).satisfaction;
   }
 
   const int stayers = static_cast<int>(members.size()) -

@@ -39,14 +39,6 @@ common::StatusOr<ScoredPartition> SeedPartition(
     const core::FormationProblem& problem,
     const grouprec::GroupScorer& scorer, bool greedy, common::Rng& rng);
 
-/// `groups` as a result: every non-empty group, in group order, with its
-/// top-k list and satisfaction from one core::ScoreGroups batch; the
-/// objective is their sum in group order.
-core::FormationResult PackageGroups(
-    const core::FormationProblem& problem,
-    const grouprec::GroupScorer& scorer,
-    std::span<const std::vector<UserId>> groups);
-
 /// The search partition of LocalSearchSolver and SimulatedAnnealingSolver:
 /// the member lists, each user's group, each group's satisfaction and
 /// their sum. The solvers choose moves; the state scores candidates and

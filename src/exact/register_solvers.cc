@@ -1,6 +1,5 @@
 #include "exact/register_solvers.h"
 
-#include <limits>
 #include <memory>
 
 #include "core/solver_registry.h"
@@ -20,19 +19,20 @@ using SolverOr = common::StatusOr<std::unique_ptr<FormationSolver>>;
 
 namespace {
 
-int AsInt(const SolverOptions& options, const char* key, int fallback) {
-  return static_cast<int>(options.GetInt(key, fallback));
-}
-
 // Option builders shared by the plain registrations and their "anytime:"
-// variants, so both spellings of a solver read the same knobs.
+// variants, so both spellings of a solver read the same knobs. Integer
+// knobs are strict: a value that does not parse, or lies below the
+// smallest setting the solver handles or beyond its field's range, fails
+// Create.
 
 common::StatusOr<LocalSearchSolver::Options> MakeLocalSearchOptions(
     const SolverOptions& options) {
   LocalSearchSolver::Options opt;
-  opt.max_passes = AsInt(options, "max_passes", opt.max_passes);
+  GF_RETURN_IF_ERROR(
+      options.ReadCheckedInt("max_passes", 0, &opt.max_passes));
   opt.use_swaps = options.GetBool("use_swaps", opt.use_swaps);
-  opt.swap_samples = AsInt(options, "swap_samples", opt.swap_samples);
+  GF_RETURN_IF_ERROR(
+      options.ReadCheckedInt("swap_samples", 0, &opt.swap_samples));
   opt.init_with_greedy =
       options.GetBool("init_with_greedy", opt.init_with_greedy);
   // Warm starts are validated at registry-lookup time: a malformed
@@ -45,17 +45,13 @@ common::StatusOr<LocalSearchSolver::Options> MakeLocalSearchOptions(
 common::StatusOr<SimulatedAnnealingSolver::Options> MakeSaOptions(
     const SolverOptions& options) {
   SimulatedAnnealingSolver::Options opt;
-  opt.iterations = AsInt(options, "iterations", opt.iterations);
+  GF_RETURN_IF_ERROR(
+      options.ReadCheckedInt("iterations", 0, &opt.iterations));
   opt.cooling = options.GetDouble("cooling", opt.cooling);
   // The cooling step runs every `cooling_interval` proposals: 0 would
-  // divide by zero, so the interval is strict-parsed into [1, INT_MAX]
-  // (a larger value would wrap to 0 or below in the int field).
-  GF_ASSIGN_OR_RETURN(
-      const long long cooling_interval,
-      options.GetCheckedInt("cooling_interval", opt.cooling_interval,
-                            /*min_value=*/1,
-                            /*max_value=*/std::numeric_limits<int>::max()));
-  opt.cooling_interval = static_cast<int>(cooling_interval);
+  // divide by zero.
+  GF_RETURN_IF_ERROR(options.ReadCheckedInt("cooling_interval", 1,
+                                            &opt.cooling_interval));
   opt.swap_fraction = options.GetDouble("swap_fraction", opt.swap_fraction);
   opt.init_with_greedy =
       options.GetBool("init_with_greedy", opt.init_with_greedy);
@@ -93,27 +89,34 @@ void RegisterExactSolvers() {
 
   (void)registry.Register(
       SubsetDpSolver::kRegistryName, SubsetDpSolver::kSolverDescription,
-      [](const FormationProblem& problem, const SolverOptions& options) {
+      [](const FormationProblem& problem,
+         const SolverOptions& options) -> SolverOr {
         SubsetDpSolver::Options opt;
-        opt.max_users = AsInt(options, "max_users", opt.max_users);
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("max_users", 0, &opt.max_users));
         return SolverOr(std::make_unique<SubsetDpSolver>(problem, opt));
       });
 
   (void)registry.Register(
       BruteForceSolver::kRegistryName, BruteForceSolver::kSolverDescription,
-      [](const FormationProblem& problem, const SolverOptions& options) {
+      [](const FormationProblem& problem,
+         const SolverOptions& options) -> SolverOr {
         BruteForceSolver::Options opt;
-        opt.max_users = AsInt(options, "max_users", opt.max_users);
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("max_users", 0, &opt.max_users));
         return SolverOr(std::make_unique<BruteForceSolver>(problem, opt));
       });
 
   (void)registry.Register(
       BranchAndBoundSolver::kRegistryName,
       BranchAndBoundSolver::kSolverDescription,
-      [](const FormationProblem& problem, const SolverOptions& options) {
+      [](const FormationProblem& problem,
+         const SolverOptions& options) -> SolverOr {
         BranchAndBoundSolver::Options opt;
-        opt.max_users = AsInt(options, "max_users", opt.max_users);
-        opt.max_nodes = options.GetInt("max_nodes", opt.max_nodes);
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("max_users", 0, &opt.max_users));
+        GF_RETURN_IF_ERROR(
+            options.ReadCheckedInt("max_nodes", 0, &opt.max_nodes));
         return SolverOr(
             std::make_unique<BranchAndBoundSolver>(problem, opt));
       });

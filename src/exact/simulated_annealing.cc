@@ -96,7 +96,7 @@ common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
     }
   }
 
-  FormationResult result = PackageGroups(problem_, scorer, best_groups);
+  FormationResult result = core::PackageGroups(problem_, scorer, best_groups);
   result.algorithm = "SA";
   result.partial = partial;
   return result;

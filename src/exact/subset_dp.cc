@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -14,7 +15,6 @@ namespace {
 
 using common::Status;
 using core::FormationResult;
-using core::FormedGroup;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
@@ -29,15 +29,6 @@ std::vector<UserId> MaskMembers(std::uint32_t mask) {
   return members;
 }
 
-/// Exact satisfaction of the group encoded by `mask`, full catalogue.
-double GroupSatisfaction(const core::FormationProblem& problem,
-                         const grouprec::GroupScorer& scorer,
-                         const std::vector<UserId>& members) {
-  const auto list = scorer.TopKAllItems(members, problem.k);
-  return core::AggregateListSatisfaction(
-      problem, static_cast<int>(members.size()), list);
-}
-
 }  // namespace
 
 common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
@@ -49,6 +40,9 @@ common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
         "LocalSearchSolver for larger instances)",
         options_.max_users, n));
   }
+  // Group scores cover the full catalogue whatever candidate_depth says.
+  core::FormationProblem full_catalogue = problem_;
+  full_catalogue.candidate_depth = 0;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
   const std::uint32_t full = n == 32 ? 0xffffffffu : (1u << n) - 1u;
   const std::size_t num_masks = static_cast<std::size_t>(full) + 1;
@@ -57,7 +51,8 @@ common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
   std::vector<double> group_score(num_masks, 0.0);
   for (std::uint32_t mask = 1; mask <= full; ++mask) {
     group_score[mask] =
-        GroupSatisfaction(problem_, scorer, MaskMembers(mask));
+        core::ScoreGroup(full_catalogue, scorer, MaskMembers(mask))
+            .satisfaction;
   }
 
   const int ell = std::min(problem_.max_groups, n);
@@ -103,23 +98,20 @@ common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
   }
 
   // Reconstruct the optimal partition.
-  FormationResult result;
-  result.algorithm = "OPT-DP";
+  std::vector<std::vector<UserId>> groups;
   std::uint32_t mask = full;
   int j = ell;
   while (mask != 0) {
     GF_CHECK_GT(j, 0);
     const std::uint32_t block = choice[static_cast<std::size_t>(j)][mask];
     GF_CHECK_NE(block, 0u);
-    FormedGroup group;
-    group.members = MaskMembers(block);
-    group.recommendation = scorer.TopKAllItems(group.members, problem_.k);
-    group.satisfaction = group_score[block];
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
+    groups.push_back(MaskMembers(block));
     mask ^= block;
     --j;
   }
+  FormationResult result =
+      core::PackageGroups(full_catalogue, scorer, groups);
+  result.algorithm = "OPT-DP";
   GF_CHECK(std::abs(result.objective -
                     f[static_cast<std::size_t>(ell)][full]) < 1e-9);
   return result;
@@ -133,13 +125,16 @@ common::StatusOr<FormationResult> BruteForceSolver::Run() const {
         "BruteForceSolver handles at most %d users, got %d",
         options_.max_users, n));
   }
+  // Group scores cover the full catalogue whatever candidate_depth says.
+  core::FormationProblem full_catalogue = problem_;
+  full_catalogue.candidate_depth = 0;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
   const int ell = std::min(problem_.max_groups, n);
 
   // Enumerate set partitions with at most `ell` blocks via restricted
   // growth strings: assignment[u] <= 1 + max(assignment[0..u-1]).
   std::vector<int> assignment(static_cast<std::size_t>(n), 0);
-  std::vector<int> best_assignment;
+  std::vector<std::vector<UserId>> best_blocks;
   double best_value = kNegInf;
 
   const auto evaluate = [&]() {
@@ -153,11 +148,11 @@ common::StatusOr<FormationResult> BruteForceSolver::Run() const {
     }
     double value = 0.0;
     for (const auto& block : blocks) {
-      value += GroupSatisfaction(problem_, scorer, block);
+      value += core::ScoreGroup(full_catalogue, scorer, block).satisfaction;
     }
     if (value > best_value) {
       best_value = value;
-      best_assignment = assignment;
+      best_blocks = std::move(blocks);
     }
   };
 
@@ -175,22 +170,9 @@ common::StatusOr<FormationResult> BruteForceSolver::Run() const {
   };
   enumerate(enumerate, 0, -1);
 
-  FormationResult result;
+  FormationResult result =
+      core::PackageGroups(full_catalogue, scorer, best_blocks);
   result.algorithm = "OPT-BF";
-  const int num_blocks = 1 + *std::max_element(best_assignment.begin(),
-                                               best_assignment.end());
-  for (int g = 0; g < num_blocks; ++g) {
-    FormedGroup group;
-    for (int u = 0; u < n; ++u) {
-      if (best_assignment[static_cast<std::size_t>(u)] == g) {
-        group.members.push_back(static_cast<UserId>(u));
-      }
-    }
-    group.recommendation = scorer.TopKAllItems(group.members, problem_.k);
-    group.satisfaction = GroupSatisfaction(problem_, scorer, group.members);
-    result.objective += group.satisfaction;
-    result.groups.push_back(std::move(group));
-  }
   return result;
 }
 

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/formation.h"
 #include "core/solver.h"
 #include "data/synthetic.h"
+#include "solvers/builtin.h"
 
 namespace groupform::core {
 namespace {
@@ -235,13 +238,84 @@ TEST(SolverOptions, GetCheckedIntValidatesPresentValues) {
   EXPECT_TRUE(options.GetCheckedInt("big", 0, 0).ok());
 }
 
+TEST(SolverOptions, ReadCheckedIntKeepsTheFieldUnlessAValidValueIsPresent) {
+  SolverOptions options;
+  options.Set("good", "12").Set("bad", "zebra").Set("wide", "2147483648");
+  int field = 7;
+  ASSERT_TRUE(options.ReadCheckedInt("missing", 0, &field).ok());
+  EXPECT_EQ(field, 7);
+  EXPECT_EQ(options.ReadCheckedInt("bad", 0, &field).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(options.ReadCheckedInt("good", 13, &field).code(),
+            common::StatusCode::kInvalidArgument);
+  // An int field's ceiling is INT_MAX; an int64 field takes the value.
+  EXPECT_EQ(options.ReadCheckedInt("wide", 0, &field).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(field, 7);
+  ASSERT_TRUE(options.ReadCheckedInt("good", 0, &field).ok());
+  EXPECT_EQ(field, 12);
+  std::int64_t wide = 0;
+  ASSERT_TRUE(options.ReadCheckedInt("wide", 0, &wide).ok());
+  EXPECT_EQ(wide, 2147483648LL);
+}
+
+TEST(SolverOptions, EveryIntegerSolverKnobIsStrict) {
+  solvers::EnsureBuiltinSolversRegistered();
+  auto& registry = SolverRegistry::Global();
+  const auto matrix =
+      data::GenerateUniformDense(6, 5, data::RatingScale{1.0, 5.0}, 23);
+  const auto problem = SmallProblem(matrix);
+  struct Knob {
+    const char* solver;
+    const char* key;
+    const char* floor;
+    const char* too_big;  // one past the field's range
+  };
+  constexpr const char* kPastInt = "2147483648";
+  const std::vector<Knob> knobs = {
+      {"localsearch", "max_passes", "0", kPastInt},
+      {"localsearch", "swap_samples", "0", kPastInt},
+      {"anytime:localsearch", "max_passes", "0", kPastInt},
+      {"anytime:localsearch", "swap_samples", "0", kPastInt},
+      {"sa", "iterations", "0", kPastInt},
+      {"sa", "cooling_interval", "1", kPastInt},
+      {"anytime:sa", "iterations", "0", kPastInt},
+      {"anytime:sa", "cooling_interval", "1", kPastInt},
+      {"exact", "max_users", "0", kPastInt},
+      {"brute", "max_users", "0", kPastInt},
+      {"bnb", "max_users", "0", kPastInt},
+      {"bnb", "max_nodes", "0", "9223372036854775808"},
+      {"baseline", "max_iterations", "0", kPastInt},
+      {"baseline", "medoid_candidates", "0", kPastInt},
+      {"baseline", "cache_pairwise_up_to", "0", kPastInt},
+      {"baseline", "kendall_truncate", "0", kPastInt},
+      {"veckmeans", "max_iterations", "0", kPastInt},
+      {"veckmeans", "top_items", "0", kPastInt},
+  };
+  for (const Knob& knob : knobs) {
+    SCOPED_TRACE(std::string(knob.solver) + " " + knob.key);
+    const std::string below = std::to_string(std::stoll(knob.floor) - 1);
+    for (const std::string& value : {std::string(knob.too_big),
+                                    std::string("zebra"), below}) {
+      const auto refused = registry.Create(
+          knob.solver, problem, SolverOptions().Set(knob.key, value));
+      ASSERT_FALSE(refused.ok()) << value;
+      EXPECT_EQ(refused.status().code(), common::StatusCode::kInvalidArgument)
+          << value;
+      EXPECT_NE(refused.status().message().find(knob.key), std::string::npos)
+          << refused.status();
+    }
+    EXPECT_TRUE(registry
+                    .Create(knob.solver, problem,
+                            SolverOptions().Set(knob.key, knob.floor))
+                    .ok());
+  }
+}
+
 TEST(SolverOptions, TypedGettersFallBackOnMissingOrMalformed) {
   SolverOptions options;
   options.Set("int", "42").Set("dbl", "2.5").Set("flag", "true");
   options.Set("bad", "zebra").Set("bare", "");
-  EXPECT_EQ(options.GetInt("int", 7), 42);
-  EXPECT_EQ(options.GetInt("missing", 7), 7);
-  EXPECT_EQ(options.GetInt("bad", 7), 7);
   EXPECT_DOUBLE_EQ(options.GetDouble("dbl", 1.0), 2.5);
   EXPECT_DOUBLE_EQ(options.GetDouble("missing", 1.0), 1.0);
   EXPECT_TRUE(options.GetBool("flag", false));

@@ -15,6 +15,7 @@
 #include "core/solver_registry.h"
 #include "data/synthetic.h"
 #include "exact/local_search.h"
+#include "exact/move_evaluator.h"
 #include "exact/register_solvers.h"
 
 namespace groupform {
@@ -177,9 +178,11 @@ TEST_F(LocalSearchParallelTest, ParallelPlanMatchesSerialReference) {
 
     LocalSearchSolver::Options options;
     common::ThreadPool::SetDefaultThreadCount(8);
+    const exact::SearchState state(
+        problem, scorer, exact::ScorePartition(problem, scorer, groups),
+        exact::SearchState::Insert::kSortAll);
     const auto planned =
-        exact::PlanPassMoves(problem, scorer, groups, satisfaction,
-                             group_of, visit_order, pass_seed, options);
+        exact::PlanPass(state, visit_order, pass_seed, options);
     ASSERT_EQ(planned.size(), visit_order.size());
     for (std::size_t i = 0; i < visit_order.size(); ++i) {
       const PlannedMove expected =

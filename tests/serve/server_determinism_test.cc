@@ -217,26 +217,37 @@ TEST_F(ServerDeterminismTest, MixedOutcomeStreamKeepsOrderAndStates) {
   }
 }
 
-TEST_F(ServerDeterminismTest, BadCoolingIntervalIsErrAndTheNextLineRuns) {
+TEST_F(ServerDeterminismTest, BadIntegerKnobIsErrAndTheNextLineRuns) {
   // sa proposes a cooling step every cooling_interval proposals; 0, and
   // 2^32 (which an int cast would wrap to 0), must be refused at Create,
-  // not divide by zero inside the server.
+  // not divide by zero inside the server. An int cast would wrap an
+  // iterations count of 2^31 to a negative one, and sa would then run no
+  // proposal and answer OK with its seed's objective.
+  struct BadKnob {
+    const char* solver;
+    const char* key;
+    const char* value;
+  };
+  const std::vector<BadKnob> knobs = {
+      {"sa", "cooling_interval", "0"},
+      {"anytime:sa", "cooling_interval", "0"},
+      {"sa", "cooling_interval", "4294967296"},
+      {"anytime:sa", "cooling_interval", "4294967296"},
+      {"sa", "iterations", "2147483648"},
+  };
   common::ThreadPool::SetDefaultThreadCount(1);
   std::string requests;
-  std::size_t refused = 0;
-  for (const char* interval : {"0", "4294967296"}) {
-    for (const char* solver : {"sa", "anytime:sa"}) {
-      Request request;
-      request.id = std::string(solver) + "/" + interval;
-      request.solver = solver;
-      request.options.Set("cooling_interval", interval);
-      request.instance.kind = "dense";
-      request.instance.users = 8;
-      request.instance.items = 5;
-      requests += RenderRequest(request) + "\n";
-      ++refused;
-    }
+  for (const BadKnob& knob : knobs) {
+    Request request;
+    request.id = std::string(knob.solver) + "/" + knob.key + "=" + knob.value;
+    request.solver = knob.solver;
+    request.options.Set(knob.key, knob.value);
+    request.instance.kind = "dense";
+    request.instance.users = 8;
+    request.instance.items = 5;
+    requests += RenderRequest(request) + "\n";
   }
+  const std::size_t refused = knobs.size();
   Request greedy;
   greedy.id = "greedy";
   greedy.solver = "greedy";
