@@ -21,8 +21,8 @@ void RegisterBaselineSolvers() {
       BaselineFormer::kRegistryName, BaselineFormer::kSolverDescription,
       [](const FormationProblem& problem,
          const SolverOptions& options) -> SolverOr {
-        // Every knob is strict; 0 disables the one it names (no Lloyd
-        // step, no medoid sampling, no distance cache, no truncation).
+        // Every knob is strict; 0 disables the one it names (no medoid
+        // swap pass, no medoid sampling, no distance cache, no truncation).
         BaselineFormer::Options opt;
         GF_RETURN_IF_ERROR(
             options.ReadCheckedInt("max_iterations", 0, &opt.max_iterations));

@@ -96,14 +96,6 @@ PlannedMove PlanMoveForUser(const SearchState& state, UserId u,
 
 }  // namespace
 
-common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u) {
-  // Golden-ratio spread of the user id over the pass seed; Rng's
-  // SplitMix64 expansion decorrelates the nearby seeds of nearby users.
-  return common::Rng(pass_seed +
-                     0x9e3779b97f4a7c15ULL *
-                         (static_cast<std::uint64_t>(u) + 1));
-}
-
 std::vector<PlannedMove> PlanPass(const SearchState& state,
                                   std::span<const UserId> visit_order,
                                   std::uint64_t pass_seed,
@@ -117,6 +109,14 @@ std::vector<PlannedMove> PlanPass(const SearchState& state,
   common::ThreadPool::Shared().ParallelFor(
       static_cast<std::int64_t>(visit_order.size()), /*grain=*/0, plan_one);
   return moves;
+}
+
+common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u) {
+  // Golden-ratio spread of the user id over the pass seed; Rng's
+  // SplitMix64 expansion decorrelates the nearby seeds of nearby users.
+  return common::Rng(pass_seed +
+                     0x9e3779b97f4a7c15ULL *
+                         (static_cast<std::uint64_t>(u) + 1));
 }
 
 common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
