@@ -125,7 +125,7 @@ void BM_SubsetDpExact(benchmark::State& state) {
   problem.k = 2;
   problem.max_groups = 3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exact::SubsetDpSolver(problem).Run());
+    benchmark::DoNotOptimize(exact::SubsetDpSolver(problem).Solve(0));
   }
 }
 BENCHMARK(BM_SubsetDpExact)->Arg(8)->Arg(10)->Arg(12)->Arg(14);

@@ -41,7 +41,7 @@ int main() {
                      greedy.status().ToString().c_str());
         return 1;
       }
-      const auto optimal = exact::SubsetDpSolver(problem).Run();
+      const auto optimal = exact::SubsetDpSolver(problem).Solve(0);
       if (!optimal.ok()) {
         std::fprintf(stderr, "optimal failed: %s\n",
                      optimal.status().ToString().c_str());
@@ -68,7 +68,8 @@ int main() {
   for (const std::string& name : registry.Names()) {
     const auto solver = registry.Create(name, problem);
     if (!solver.ok()) continue;
-    const auto result = (*solver)->Solve();
+    const auto result =
+        (*solver)->Solve(core::FormationSolver::kDefaultSeed);
     if (!result.ok()) {
       std::printf("  %-12s %s\n", name.c_str(),
                   result.status().ToString().c_str());

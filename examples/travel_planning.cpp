@@ -49,7 +49,7 @@ int main() {
     std::fprintf(stderr, "%s\n", grd.status().ToString().c_str());
     return 1;
   }
-  const auto base = baseline::RunBaseline(problem);
+  const auto base = baseline::BaselineFormer(problem).Solve(99);
   if (!base.ok()) {
     std::fprintf(stderr, "%s\n", base.status().ToString().c_str());
     return 1;

@@ -17,7 +17,7 @@ std::string BaselineFormer::AlgorithmName(
       grouprec::AggregationToString(problem.aggregation));
 }
 
-StatusOr<FormationResult> BaselineFormer::Run() const {
+StatusOr<FormationResult> BaselineFormer::Solve(std::uint64_t seed) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const data::RatingStore matrix = problem_.Store();
   const std::int32_t n = matrix.num_users();
@@ -54,7 +54,7 @@ StatusOr<FormationResult> BaselineFormer::Run() const {
   cluster_options.num_clusters = ell;
   cluster_options.max_iterations = options_.max_iterations;
   cluster_options.medoid_candidates = options_.medoid_candidates;
-  cluster_options.seed = options_.seed;
+  cluster_options.seed = seed;
   GF_ASSIGN_OR_RETURN(const KMedoids::Result clustering,
                       KMedoids::Cluster(n, distance, cluster_options));
 
@@ -72,11 +72,6 @@ StatusOr<FormationResult> BaselineFormer::Run() const {
       core::PackageGroups(problem_, problem_.MakeScorer(), clusters);
   result.algorithm = AlgorithmName(problem_);
   return result;
-}
-
-StatusOr<FormationResult> RunBaseline(const core::FormationProblem& problem,
-                                      BaselineFormer::Options options) {
-  return BaselineFormer(problem, options).Run();
 }
 
 }  // namespace groupform::baseline

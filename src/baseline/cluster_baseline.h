@@ -21,16 +21,11 @@ namespace groupform::baseline {
 /// is exactly the property the GRD algorithms are shown to beat.
 class BaselineFormer : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "baseline";
-  static constexpr const char* kSolverDescription =
-      "Baseline — Kendall-Tau distances + k-medoids clustering (§7)";
-
   struct Options {
     KendallTauOptions kendall;
     /// Passed through to KMedoids (num_clusters comes from the problem).
     int max_iterations = 100;
     int medoid_candidates = 64;
-    std::uint64_t seed = 99;
     /// Cache all O(n^2 / 2) pairwise distances up front when n is at most
     /// this bound; beyond it distances are computed on demand (k-medoids
     /// touches only point-to-medoid pairs).
@@ -42,21 +37,11 @@ class BaselineFormer : public core::FormationSolver {
   BaselineFormer(const core::FormationProblem& problem, Options options)
       : problem_(problem), options_(options) {}
 
-  /// Clusters, recommends, and scores. The result's algorithm label is
+  /// Clusters, recommends, and scores; `seed` drives the k-medoids
+  /// initialisation. The result's algorithm label is
   /// "Baseline-<semantics>-<aggregation>".
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: `seed` replaces Options::seed for this run (it
-  /// drives the k-medoids initialisation).
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t seed) const override {
-    Options seeded = options_;
-    seeded.seed = seed;
-    return BaselineFormer(problem_, seeded).Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t seed) const override;
 
   static std::string AlgorithmName(const core::FormationProblem& problem);
 
@@ -64,11 +49,6 @@ class BaselineFormer : public core::FormationSolver {
   core::FormationProblem problem_;
   Options options_;
 };
-
-/// Convenience wrapper: construct-and-run.
-common::StatusOr<core::FormationResult> RunBaseline(
-    const core::FormationProblem& problem,
-    BaselineFormer::Options options = BaselineFormer::Options());
 
 }  // namespace groupform::baseline
 

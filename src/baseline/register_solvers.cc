@@ -18,7 +18,8 @@ void RegisterBaselineSolvers() {
   SolverRegistry& registry = SolverRegistry::Global();
 
   (void)registry.Register(
-      BaselineFormer::kRegistryName, BaselineFormer::kSolverDescription,
+      "baseline",
+      "Baseline — Kendall-Tau distances + k-medoids clustering (§7)",
       [](const FormationProblem& problem,
          const SolverOptions& options) -> SolverOr {
         // Every knob is strict; 0 disables the one it names (no medoid
@@ -36,8 +37,7 @@ void RegisterBaselineSolvers() {
       });
 
   (void)registry.Register(
-      VectorKMeansFormer::kRegistryName,
-      VectorKMeansFormer::kSolverDescription,
+      "veckmeans", "VecKMeans — preference-vector k-means ad-hoc formation",
       [](const FormationProblem& problem,
          const SolverOptions& options) -> SolverOr {
         VectorKMeansFormer::Options opt;

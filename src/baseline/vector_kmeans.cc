@@ -12,12 +12,13 @@ namespace groupform::baseline {
 using common::StatusOr;
 using core::FormationResult;
 
-StatusOr<FormationResult> VectorKMeansFormer::Run() const {
+StatusOr<FormationResult> VectorKMeansFormer::Solve(
+    std::uint64_t seed) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const data::RatingStore matrix = problem_.Store();
   const std::int32_t n = matrix.num_users();
   const std::int32_t ell = std::min<std::int32_t>(problem_.max_groups, n);
-  common::Rng rng(options_.seed);
+  common::Rng rng(seed);
 
   // Feature space: the most-rated items (ties by id).
   std::vector<std::int64_t> item_counts(

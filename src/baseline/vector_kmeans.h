@@ -19,16 +19,11 @@ namespace groupform::baseline {
 /// semantics-blind" reference point in the baseline comparison bench.
 class VectorKMeansFormer : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "veckmeans";
-  static constexpr const char* kSolverDescription =
-      "VecKMeans — preference-vector k-means ad-hoc formation";
-
   struct Options {
     int max_iterations = 100;
     /// Users' rating vectors are restricted to the `top_items` globally
     /// most-rated items (0 = all items) to bound the dimensionality.
     std::int32_t top_items = 256;
-    std::uint64_t seed = 99;
   };
 
   explicit VectorKMeansFormer(const core::FormationProblem& problem)
@@ -37,20 +32,10 @@ class VectorKMeansFormer : public core::FormationSolver {
       : problem_(problem), options_(options) {}
 
   /// Clusters, then recommends and scores each cluster under the problem
-  /// semantics. Result label: "VecKMeans-<semantics>-<aggregation>".
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: `seed` replaces Options::seed for this run (it
-  /// drives the k-means++ initialisation).
+  /// semantics; `seed` drives the k-means++ initialisation. Result label:
+  /// "VecKMeans-<semantics>-<aggregation>".
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t seed) const override {
-    Options seeded = options_;
-    seeded.seed = seed;
-    return VectorKMeansFormer(problem_, seeded).Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t seed) const override;
 
  private:
   core::FormationProblem problem_;

@@ -597,29 +597,9 @@ Status CheckPartition(const FormationProblem& problem,
   return Status::Ok();
 }
 
-struct MemberInfo {
-  const char* name;
-  const char* description;
-};
-
-constexpr MemberInfo kMemberInfo[] = {
-    {"capgreedy",
-     "size-constrained greedy: GRD seed + split/rebalance/merge repair "
-     "(constraints: size bounds)"},
-    {"pairgreedy",
-     "link-aware greedy: must-link atoms, cannot-link repulsion, "
-     "atom-aware size repair (constraints: sizes + link pairs)"},
-    {"fairgreedy",
-     "fairness-floor greedy: link-aware pipeline + per-user floor "
-     "relocation, residual violations reported (full ConstraintSpec)"},
-};
-
 const char* ConstrainedGreedySolver::RegistryName(Member member) {
-  return kMemberInfo[static_cast<int>(member)].name;
-}
-
-const char* ConstrainedGreedySolver::Description(Member member) {
-  return kMemberInfo[static_cast<int>(member)].description;
+  constexpr const char* kNames[] = {"capgreedy", "pairgreedy", "fairgreedy"};
+  return kNames[static_cast<int>(member)];
 }
 
 StatusOr<FormationResult> ConstrainedGreedySolver::Solve(

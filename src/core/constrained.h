@@ -17,7 +17,6 @@
 // toward it and reports the residual count in
 // FormationResult::floor_violations.
 
-#include <string>
 
 #include "common/status.h"
 #include "core/formation.h"
@@ -84,16 +83,14 @@ class ConstrainedGreedySolver : public FormationSolver {
   static constexpr Member kMembers[] = {Member::kCap, Member::kPair,
                                         Member::kFair};
 
-  /// "capgreedy", "pairgreedy", "fairgreedy" and their descriptions.
+  /// "capgreedy", "pairgreedy", "fairgreedy": the registry name of
+  /// `member`, which serving also uses to tell the family apart.
   static const char* RegistryName(Member member);
-  static const char* Description(Member member);
 
   ConstrainedGreedySolver(const FormationProblem& problem, Member member)
       : problem_(problem), member_(member) {}
 
   common::StatusOr<FormationResult> Solve(std::uint64_t seed) const override;
-  std::string name() const override { return RegistryName(member_); }
-  std::string description() const override { return Description(member_); }
 
  private:
   const FormationProblem& problem_;

@@ -24,7 +24,7 @@ std::string GreedyFormer::AlgorithmName(const FormationProblem& problem) {
                                problem.aggregation));
 }
 
-common::StatusOr<FormationResult> GreedyFormer::Run() const {
+common::StatusOr<FormationResult> GreedyFormer::Solve(std::uint64_t) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const data::RatingStore matrix = problem_.Store();
   const int n = matrix.num_users();
@@ -58,7 +58,7 @@ common::StatusOr<FormationResult> GreedyFormer::Run() const {
 }
 
 common::StatusOr<FormationResult> RunGreedy(const FormationProblem& problem) {
-  return GreedyFormer(problem).Run();
+  return GreedyFormer(problem).Solve(FormationSolver::kDefaultSeed);
 }
 
 }  // namespace groupform::core

@@ -44,10 +44,6 @@ namespace groupform::core {
 /// O(nk + ell log n) bound.
 class GreedyFormer : public FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "greedy";
-  static constexpr const char* kSolverDescription =
-      "GRD greedy bucket formation (§4–§5), the paper's contribution";
-
   /// The problem's matrix must outlive the former (§2.4 instance).
   explicit GreedyFormer(const FormationProblem& problem)
       : problem_(problem) {}
@@ -55,16 +51,9 @@ class GreedyFormer : public FormationSolver {
   /// Runs the greedy algorithm selected by the problem's semantics and
   /// aggregation: Algorithm 1 for LM (§4.1–§4.2, with the bucket-splitting
   /// selection of DESIGN.md §4.1b that makes Theorems 2/3 hold), the §5
-  /// whole-bucket variant for AV. Fails only on invalid problems.
-  common::StatusOr<FormationResult> Run() const;
-
-  /// FormationSolver: greedy is deterministic, the seed is ignored.
-  common::StatusOr<FormationResult> Solve(std::uint64_t) const override {
-    return Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using FormationSolver::Solve;
+  /// whole-bucket variant for AV. Greedy is deterministic: the seed is
+  /// ignored. Fails only on invalid problems.
+  common::StatusOr<FormationResult> Solve(std::uint64_t) const override;
 
   /// The paper's algorithm label for this semantics x aggregation pair
   /// (§7 "Algorithms Compared"): "GRD-LM-MIN", "GRD-AV-SUM", ...
@@ -74,7 +63,7 @@ class GreedyFormer : public FormationSolver {
   FormationProblem problem_;
 };
 
-/// Convenience wrapper: construct-and-run (§4's GRD entry point).
+/// The seedless GRD entry point (§4): GreedyFormer(problem).Solve.
 common::StatusOr<FormationResult> RunGreedy(const FormationProblem& problem);
 
 }  // namespace groupform::core

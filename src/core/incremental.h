@@ -20,7 +20,7 @@ namespace groupform::core {
 ///   former.RemoveUser(u);          // O(|bucket| * k) re-accumulate
 ///   auto result = former.Form();   // selection + residual only
 ///
-/// Form() produces exactly what GreedyFormer::Run() would produce for the
+/// Form() produces exactly what GreedyFormer::Solve would produce for the
 /// currently-active population — property-tested in
 /// tests/core/incremental_former_test.cc, including RemoveUser→AddUser
 /// round-trips landing bitwise on the never-removed state — but repeated

@@ -38,14 +38,6 @@ class SolverOptions {
     return entries_.find(key) != entries_.end();
   }
 
-  /// Lenient getters: return `fallback` when the key is absent or the
-  /// value does not parse (factories treat a malformed double or bool as
-  /// "keep the solver default" rather than failing a whole sweep).
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const;
-  double GetDouble(const std::string& key, double fallback) const;
-  bool GetBool(const std::string& key, bool fallback) const;
-
   /// Strict integer getter: absent key → `fallback`; present but
   /// non-numeric, or parsed outside [`min_value`, `max_value`], →
   /// INVALID_ARGUMENT naming the key and value. Factories surface the
@@ -66,6 +58,14 @@ class SolverOptions {
     *field = static_cast<Int>(value);
     return common::Status::Ok();
   }
+
+  /// Strict double and bool knobs, read like ReadCheckedInt: an absent
+  /// key keeps `*field`; a present value must be a finite number (every
+  /// character parsed), or one of true, false, 1, 0 or empty (a bare key,
+  /// true). Anything else is INVALID_ARGUMENT naming the key and value.
+  common::Status ReadCheckedDouble(const std::string& key,
+                                   double* field) const;
+  common::Status ReadCheckedBool(const std::string& key, bool* field) const;
 
   /// Typed access to kStartAssignmentKey (implemented in delta.cc). Set
   /// stores the partition in its canonical string encoding; Get returns
@@ -99,20 +99,10 @@ class FormationSolver {
 
   /// Solves the bound problem. `seed` drives every random choice the
   /// solver makes; deterministic solvers ignore it. Two calls with the
-  /// same seed return identical results.
+  /// same seed return identical results. A solver's name and description
+  /// live in its SolverRegistry registration, not here.
   virtual common::StatusOr<FormationResult> Solve(
       std::uint64_t seed) const = 0;
-
-  /// The registry name this solver answers to, e.g. "greedy", "sa".
-  virtual std::string name() const = 0;
-
-  /// One-line human description, surfaced by the CLI's --help.
-  virtual std::string description() const = 0;
-
-  /// Solve with the library default seed.
-  common::StatusOr<FormationResult> Solve() const {
-    return Solve(kDefaultSeed);
-  }
 };
 
 }  // namespace groupform::core

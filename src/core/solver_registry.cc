@@ -1,16 +1,10 @@
 #include "core/solver_registry.h"
 
+#include <cmath>
+
 #include "common/strings.h"
 
 namespace groupform::core {
-
-double SolverOptions::GetDouble(const std::string& key,
-                                double fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  double parsed = 0.0;
-  return common::ParseDouble(it->second, &parsed) ? parsed : fallback;
-}
 
 common::StatusOr<long long> SolverOptions::GetCheckedInt(
     const std::string& key, long long fallback, long long min_value,
@@ -36,20 +30,35 @@ common::StatusOr<long long> SolverOptions::GetCheckedInt(
   return parsed;
 }
 
-bool SolverOptions::GetBool(const std::string& key, bool fallback) const {
+common::Status SolverOptions::ReadCheckedDouble(const std::string& key,
+                                                double* field) const {
   const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  // An empty value (bare key) means true.
-  const std::string& value = it->second;
-  if (value == "true" || value == "1" || value.empty()) return true;
-  if (value == "false" || value == "0") return false;
-  return fallback;
+  if (it == entries_.end()) return common::Status::Ok();
+  double parsed = 0.0;
+  if (!common::ParseDouble(it->second, &parsed) || !std::isfinite(parsed)) {
+    return common::Status::InvalidArgument(
+        "solver option '" + key + "' must be a finite number, got '" +
+        it->second + "'");
+  }
+  *field = parsed;
+  return common::Status::Ok();
 }
 
-std::string SolverOptions::GetString(const std::string& key,
-                                     const std::string& fallback) const {
+common::Status SolverOptions::ReadCheckedBool(const std::string& key,
+                                              bool* field) const {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? fallback : it->second;
+  if (it == entries_.end()) return common::Status::Ok();
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value.empty()) {
+    *field = true;
+  } else if (value == "false" || value == "0") {
+    *field = false;
+  } else {
+    return common::Status::InvalidArgument(
+        "solver option '" + key +
+        "' must be true, false, 1 or 0, got '" + value + "'");
+  }
+  return common::Status::Ok();
 }
 
 SolverRegistry& SolverRegistry::Global() {

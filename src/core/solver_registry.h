@@ -28,7 +28,7 @@ class SolverRegistry {
  public:
   /// Builds a solver bound to `problem`, configured from the option bag
   /// (unknown keys ignored). Factories validate nothing beyond option
-  /// parsing; Solve() performs problem validation as before.
+  /// parsing; Solve performs problem validation as before.
   using Factory =
       std::function<common::StatusOr<std::unique_ptr<FormationSolver>>(
           const FormationProblem& problem, const SolverOptions& options)>;

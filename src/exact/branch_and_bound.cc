@@ -29,7 +29,8 @@ struct SearchState {
 
 }  // namespace
 
-common::StatusOr<FormationResult> BranchAndBoundSolver::Run() const {
+common::StatusOr<FormationResult> BranchAndBoundSolver::Solve(
+    std::uint64_t) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const int n = problem_.Store().num_users();
   if (n > options_.max_users) {

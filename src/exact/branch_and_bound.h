@@ -34,10 +34,6 @@ namespace groupform::exact {
 /// against SubsetDpSolver in tests.
 class BranchAndBoundSolver : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "bnb";
-  static constexpr const char* kSolverDescription =
-      "BNB — exact branch and bound with greedy incumbent (small instances)";
-
   struct Options {
     int max_users = 22;
     /// Node expansion budget; 0 = unlimited.
@@ -50,16 +46,9 @@ class BranchAndBoundSolver : public core::FormationSolver {
                        Options options)
       : problem_(problem), options_(options) {}
 
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: the search is deterministic, the seed is ignored.
+  /// The search is deterministic: the seed is ignored.
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t) const override {
-    return Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t) const override;
 
  private:
   core::FormationProblem problem_;

@@ -119,13 +119,14 @@ common::Rng SwapRngForUser(std::uint64_t pass_seed, UserId u) {
                          (static_cast<std::uint64_t>(u) + 1));
 }
 
-common::StatusOr<FormationResult> LocalSearchSolver::Run() const {
+common::StatusOr<FormationResult> LocalSearchSolver::Solve(
+    std::uint64_t seed) const {
   const auto started = std::chrono::steady_clock::now();
   GF_RETURN_IF_ERROR(problem_.Validate());
   const int n = problem_.Store().num_users();
   const int ell = problem_.max_groups;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
-  common::Rng rng(options_.seed);
+  common::Rng rng(seed);
 
   // ---- Initial partition ----
   // Validate the warm start (if any) before touching the rng: it must be

@@ -30,10 +30,6 @@ class SearchState;
 /// Its objective is by construction >= the greedy seed's.
 class LocalSearchSolver : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "localsearch";
-  static constexpr const char* kSolverDescription =
-      "OPT* — greedy-seeded hill climbing, the scalable optimal reference";
-
   struct Options {
     /// Maximum improvement passes. A pass applies at most
     /// floor(max_groups / 2) moves (each applied move retires its two
@@ -68,10 +64,9 @@ class LocalSearchSolver : public core::FormationSolver {
     /// monotone in the objective, so every snapshot dominates the ones
     /// before it. -1 (the default) never expires; a 0 budget
     /// deterministically returns the seed partition (partial) before the
-    /// first pass. The budget is the `anytime:localsearch` registry
-    /// wrapper's deadline_ms option.
+    /// first pass. The `anytime:localsearch` registry name reads it from
+    /// the deadline_ms option.
     long long deadline_ms = -1;
-    std::uint64_t seed = 17;
   };
 
   /// One user's planned move for a pass, evaluated against the pass-start
@@ -96,19 +91,10 @@ class LocalSearchSolver : public core::FormationSolver {
   LocalSearchSolver(const core::FormationProblem& problem, Options options)
       : problem_(problem), options_(options) {}
 
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: `seed` replaces Options::seed for this run (it
-  /// drives the shuffle order and swap sampling).
+  /// `seed` drives the random split (without init_with_greedy), the
+  /// visit order and swap sampling.
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t seed) const override {
-    Options seeded = options_;
-    seeded.seed = seed;
-    return LocalSearchSolver(problem_, seeded).Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t seed) const override;
 
  private:
   core::FormationProblem problem_;

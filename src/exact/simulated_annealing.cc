@@ -14,13 +14,14 @@ namespace groupform::exact {
 
 using core::FormationResult;
 
-common::StatusOr<FormationResult> SimulatedAnnealingSolver::Run() const {
+common::StatusOr<FormationResult> SimulatedAnnealingSolver::Solve(
+    std::uint64_t seed) const {
   const auto started = std::chrono::steady_clock::now();
   GF_RETURN_IF_ERROR(problem_.Validate());
   const int n = problem_.Store().num_users();
   const int ell = problem_.max_groups;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
-  common::Rng rng(options_.seed);
+  common::Rng rng(seed);
 
   GF_ASSIGN_OR_RETURN(
       ScoredPartition start,

@@ -22,10 +22,6 @@ namespace groupform::exact {
 /// is returned, so the result is never worse than the greedy seed.
 class SimulatedAnnealingSolver : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "sa";
-  static constexpr const char* kSolverDescription =
-      "SA — greedy-seeded simulated annealing (Metropolis search)";
-
   struct Options {
     /// Proposals evaluated in total.
     int iterations = 20000;
@@ -44,10 +40,9 @@ class SimulatedAnnealingSolver : public core::FormationSolver {
     /// returns the best state ever seen with FormationResult::partial =
     /// true — the best-ever snapshot is monotone by construction. -1
     /// (the default) never expires; a 0 budget deterministically returns
-    /// the seed state (partial) before the first proposal. This is the
-    /// `anytime:sa` registry wrapper's deadline_ms option.
+    /// the seed state (partial) before the first proposal. The
+    /// `anytime:sa` registry name reads it from the deadline_ms option.
     long long deadline_ms = -1;
-    std::uint64_t seed = 23;
   };
 
   explicit SimulatedAnnealingSolver(const core::FormationProblem& problem)
@@ -56,19 +51,10 @@ class SimulatedAnnealingSolver : public core::FormationSolver {
                            Options options)
       : problem_(problem), options_(options) {}
 
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: `seed` replaces Options::seed for this run (it
-  /// drives move proposals and the Metropolis draws).
+  /// `seed` drives the random split (without init_with_greedy), move
+  /// proposals and the Metropolis draws.
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t seed) const override {
-    Options seeded = options_;
-    seeded.seed = seed;
-    return SimulatedAnnealingSolver(problem_, seeded).Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t seed) const override;
 
  private:
   core::FormationProblem problem_;

@@ -31,20 +31,22 @@ std::vector<UserId> MaskMembers(std::uint32_t mask) {
 
 }  // namespace
 
-common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
+common::StatusOr<FormationResult> SubsetDpSolver::Solve(
+    std::uint64_t) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const int n = problem_.Store().num_users();
-  if (n > options_.max_users) {
+  const int max_users = std::min(options_.max_users, kMaxUsersCeiling);
+  if (n > max_users) {
     return Status::ResourceExhausted(common::StrFormat(
         "SubsetDpSolver handles at most %d users, got %d (use "
         "LocalSearchSolver for larger instances)",
-        options_.max_users, n));
+        max_users, n));
   }
   // Group scores cover the full catalogue whatever candidate_depth says.
   core::FormationProblem full_catalogue = problem_;
   full_catalogue.candidate_depth = 0;
   const grouprec::GroupScorer scorer = problem_.MakeScorer();
-  const std::uint32_t full = n == 32 ? 0xffffffffu : (1u << n) - 1u;
+  const std::uint32_t full = (1u << n) - 1u;
   const std::size_t num_masks = static_cast<std::size_t>(full) + 1;
 
   // Exact score of every non-empty subset as one group.
@@ -117,7 +119,8 @@ common::StatusOr<FormationResult> SubsetDpSolver::Run() const {
   return result;
 }
 
-common::StatusOr<FormationResult> BruteForceSolver::Run() const {
+common::StatusOr<FormationResult> BruteForceSolver::Solve(
+    std::uint64_t) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const int n = problem_.Store().num_users();
   if (n > options_.max_users) {

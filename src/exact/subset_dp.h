@@ -24,13 +24,15 @@ namespace groupform::exact {
 /// transitions — practical to max_users (default 16).
 class SubsetDpSolver : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "exact";
-  static constexpr const char* kSolverDescription =
-      "OPT — provably optimal subset DP (small instances only)";
+  /// The ceiling of max_users. At n users the score and DP tables hold
+  /// 2^n x (8 + 12 (min(ell, n) + 1)) bytes, at most 273 MB at n = 20;
+  /// past 32 users the 32-bit subset masks would wrap.
+  static constexpr int kMaxUsersCeiling = 20;
 
   struct Options {
-    /// Hard cap on population size; larger instances fail with
-    /// RESOURCE_EXHAUSTED instead of silently running for hours.
+    /// Hard cap on population size, at most kMaxUsersCeiling; larger
+    /// instances fail with RESOURCE_EXHAUSTED instead of silently running
+    /// for hours.
     int max_users = 16;
   };
 
@@ -41,16 +43,9 @@ class SubsetDpSolver : public core::FormationSolver {
 
   /// Returns an optimal partition of the §2.4 instance (groups in
   /// reconstruction order); the objective is Obj(OPT) in Theorems 2/3.
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: the DP is deterministic, the seed is ignored.
+  /// The DP is deterministic: the seed is ignored.
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t) const override {
-    return Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t) const override;
 
  private:
   core::FormationProblem problem_;
@@ -62,10 +57,6 @@ class SubsetDpSolver : public core::FormationSolver {
 /// tests; prefer SubsetDpSolver everywhere else.
 class BruteForceSolver : public core::FormationSolver {
  public:
-  static constexpr const char* kRegistryName = "brute";
-  static constexpr const char* kSolverDescription =
-      "exhaustive set-partition enumeration (tiny instances; test oracle)";
-
   struct Options {
     int max_users = 10;
   };
@@ -75,16 +66,9 @@ class BruteForceSolver : public core::FormationSolver {
   BruteForceSolver(const core::FormationProblem& problem, Options options)
       : problem_(problem), options_(options) {}
 
-  common::StatusOr<core::FormationResult> Run() const;
-
-  /// FormationSolver: enumeration is deterministic, the seed is ignored.
+  /// Enumeration is deterministic: the seed is ignored.
   common::StatusOr<core::FormationResult> Solve(
-      std::uint64_t) const override {
-    return Run();
-  }
-  std::string name() const override { return kRegistryName; }
-  std::string description() const override { return kSolverDescription; }
-  using core::FormationSolver::Solve;
+      std::uint64_t) const override;
 
  private:
   core::FormationProblem problem_;

@@ -206,10 +206,9 @@ common::StatusOr<AmtSimulator::StudyResult> AmtSimulator::Run() const {
       problem.max_groups = options_.num_groups;
       GF_ASSIGN_OR_RETURN(const FormationResult grd,
                           core::RunGreedy(problem));
-      baseline::BaselineFormer::Options baseline_options;
-      baseline_options.seed = options_.seed + 13;
-      GF_ASSIGN_OR_RETURN(const FormationResult base,
-                          baseline::RunBaseline(problem, baseline_options));
+      GF_ASSIGN_OR_RETURN(
+          const FormationResult base,
+          baseline::BaselineFormer(problem).Solve(options_.seed + 13));
 
       const double latent_grd = LatentSatisfaction(sample_matrix, grd);
       const double latent_base = LatentSatisfaction(sample_matrix, base);

@@ -34,7 +34,7 @@ TEST(ClusterBaseline, ProducesValidPartitionsUnderBothSemantics) {
     for (const auto aggregation :
          {Aggregation::kMax, Aggregation::kMin, Aggregation::kSum}) {
       const auto problem = Problem(matrix, semantics, aggregation, 5, 8);
-      const auto result = baseline::RunBaseline(problem);
+      const auto result = baseline::BaselineFormer(problem).Solve(99);
       ASSERT_TRUE(result.ok()) << result.status();
       EXPECT_TRUE(core::ValidatePartition(problem, *result).ok())
           << problem.ToString();
@@ -49,7 +49,7 @@ TEST(ClusterBaseline, AlgorithmNameMatchesPaperNomenclature) {
                          2, 3);
   EXPECT_EQ(baseline::BaselineFormer::AlgorithmName(problem),
             "Baseline-LM-MAX");
-  const auto result = baseline::RunBaseline(problem);
+  const auto result = baseline::BaselineFormer(problem).Solve(99);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->algorithm, "Baseline-LM-MAX");
 }
@@ -64,7 +64,7 @@ TEST(ClusterBaseline, GreedyBeatsBaselineOnClusteredPopulations) {
     const auto problem =
         Problem(matrix, Semantics::kLeastMisery, aggregation, 5, 10);
     const auto grd = core::RunGreedy(problem);
-    const auto base = baseline::RunBaseline(problem);
+    const auto base = baseline::BaselineFormer(problem).Solve(99);
     ASSERT_TRUE(grd.ok());
     ASSERT_TRUE(base.ok());
     EXPECT_GE(grd->objective, base->objective) << problem.ToString();
@@ -80,7 +80,7 @@ TEST(ClusterBaseline, GreedyIsAtWorstCompetitiveUnderAv) {
     const auto problem =
         Problem(matrix, Semantics::kAggregateVoting, aggregation, 5, 10);
     const auto grd = core::RunGreedy(problem);
-    const auto base = baseline::RunBaseline(problem);
+    const auto base = baseline::BaselineFormer(problem).Solve(99);
     ASSERT_TRUE(grd.ok());
     ASSERT_TRUE(base.ok());
     EXPECT_GE(grd->objective, 0.8 * base->objective) << problem.ToString();
@@ -95,8 +95,8 @@ TEST(ClusterBaseline, OnDemandDistancesMatchCachedDistances) {
   cached.cache_pairwise_up_to = 1000;
   baseline::BaselineFormer::Options on_demand;
   on_demand.cache_pairwise_up_to = 0;
-  const auto a = baseline::RunBaseline(problem, cached);
-  const auto b = baseline::RunBaseline(problem, on_demand);
+  const auto a = baseline::BaselineFormer(problem, cached).Solve(99);
+  const auto b = baseline::BaselineFormer(problem, on_demand).Solve(99);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->objective, b->objective);
@@ -106,7 +106,7 @@ TEST(ClusterBaseline, FewerUsersThanGroupsDegradesGracefully) {
   const auto matrix = data::GenerateClusteredDense(5, 10, 2, 73);
   const auto problem =
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMin, 2, 10);
-  const auto result = baseline::RunBaseline(problem);
+  const auto result = baseline::BaselineFormer(problem).Solve(99);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
 }

@@ -32,7 +32,7 @@ TEST(VectorKMeans, ProducesValidPartitions) {
        {Semantics::kLeastMisery, Semantics::kAggregateVoting}) {
     const auto problem =
         Problem(matrix, semantics, Aggregation::kMin, 4, 9);
-    const auto result = baseline::VectorKMeansFormer(problem).Run();
+    const auto result = baseline::VectorKMeansFormer(problem).Solve(99);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
     EXPECT_LE(result->num_groups(), 9);
@@ -45,7 +45,7 @@ TEST(VectorKMeans, RecoversPlantedTasteClusters) {
   const auto matrix = data::GenerateClusteredDense(120, 30, 6, 53);
   const auto problem = Problem(matrix, Semantics::kAggregateVoting,
                                Aggregation::kSum, 3, 6);
-  const auto result = baseline::VectorKMeansFormer(problem).Run();
+  const auto result = baseline::VectorKMeansFormer(problem).Solve(99);
   ASSERT_TRUE(result.ok());
   // Every cluster should be non-trivial on planted-cluster data.
   for (const auto& g : result->groups) {
@@ -60,7 +60,7 @@ TEST(VectorKMeans, DimensionalityCapIsHonored) {
   baseline::VectorKMeansFormer::Options options;
   options.top_items = 8;  // much smaller than the 50-item catalogue
   const auto result =
-      baseline::VectorKMeansFormer(problem, options).Run();
+      baseline::VectorKMeansFormer(problem, options).Solve(99);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
 }
@@ -69,8 +69,8 @@ TEST(VectorKMeans, DeterministicForFixedSeed) {
   const auto matrix = data::GenerateClusteredDense(70, 25, 5, 57);
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kSum, 3, 5);
-  const auto a = baseline::VectorKMeansFormer(problem).Run();
-  const auto b = baseline::VectorKMeansFormer(problem).Run();
+  const auto a = baseline::VectorKMeansFormer(problem).Solve(99);
+  const auto b = baseline::VectorKMeansFormer(problem).Solve(99);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->objective, b->objective);
@@ -80,7 +80,7 @@ TEST(VectorKMeans, AlgorithmLabel) {
   const auto matrix = data::GenerateClusteredDense(20, 10, 2, 59);
   const auto problem = Problem(matrix, Semantics::kAggregateVoting,
                                Aggregation::kMax, 2, 3);
-  const auto result = baseline::VectorKMeansFormer(problem).Run();
+  const auto result = baseline::VectorKMeansFormer(problem).Solve(99);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->algorithm, "VecKMeans-AV-MAX");
 }

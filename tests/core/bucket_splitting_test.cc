@@ -50,7 +50,7 @@ TEST(BucketSplitting, OneGiantLmBucketFillsEveryGroupSlot) {
   ASSERT_TRUE(grd.ok());
   EXPECT_EQ(grd->num_groups(), 5);
   EXPECT_DOUBLE_EQ(grd->objective, 25.0);
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok());
   EXPECT_DOUBLE_EQ(grd->objective, opt->objective);
   EXPECT_TRUE(core::ValidatePartition(problem, *grd).ok());
@@ -90,7 +90,7 @@ TEST(BucketSplitting, SecondSlotOfStrongBucketBeatsWeakBucket) {
   // last slot at unchanged score); residual {b} scores 2. Objective
   // 5 + 5 + 2 = 12, which here matches the optimum.
   EXPECT_DOUBLE_EQ(grd->objective, 12.0);
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok());
   EXPECT_DOUBLE_EQ(opt->objective, 12.0);
   // A + B whole-bucket selection would only reach 5 + 2 + residual; the

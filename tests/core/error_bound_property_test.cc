@@ -52,7 +52,7 @@ TEST_P(ErrorBoundTest, GreedyLmIsWithinTheoremBoundOfOptimal) {
                                c.k, c.ell);
   const auto grd = core::RunGreedy(problem);
   ASSERT_TRUE(grd.ok()) << grd.status();
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok()) << opt.status();
 
   // Greedy can never beat the optimum.
@@ -96,7 +96,7 @@ TEST_P(AvSanityTest, GreedyAvNeverExceedsOptimal) {
                                aggregation, c.k, c.ell);
   const auto grd = core::RunGreedy(problem);
   ASSERT_TRUE(grd.ok()) << grd.status();
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok()) << opt.status();
   EXPECT_LE(grd->objective, opt->objective + 1e-9) << problem.ToString();
   EXPECT_TRUE(core::ValidatePartition(problem, *grd).ok());

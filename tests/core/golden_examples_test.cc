@@ -66,7 +66,7 @@ TEST(GoldenExample1, GrdLmMinK1IsWithinRmaxOfOptimal12) {
   const auto matrix = data::PaperExample1();
   const auto problem = MakeProblem(matrix, Semantics::kLeastMisery,
                                    Aggregation::kMin, 1, 3);
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok()) << opt.status();
   // Paper: optimal grouping {u1,u3,u4}, {u2,u6}, {u5} with value 12.
   EXPECT_DOUBLE_EQ(opt->objective, 12.0);
@@ -141,7 +141,7 @@ TEST(GoldenExample2, PaperGroupingScores14ButTrueOptimumIs16) {
   // exact_solvers_test). AV-Min rewards folding more voters into the
   // strong group — the same effect the paper itself illustrates with
   // Example 4.
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok()) << opt.status();
   EXPECT_DOUBLE_EQ(opt->objective, 16.0);
   EXPECT_EQ(GroupingOf(*opt), (Grouping{{0, 2, 3, 5}, {1, 4}}));
@@ -204,7 +204,7 @@ TEST(GoldenExample4, GreedyGets14PaperGrouping15TrueOptimum16) {
   // ...and taking AV's big-group logic to its conclusion, one group of all
   // four users scores min(16, 16) = 16: the true optimum (cross-checked
   // with brute force). The paper stopped one merge short of its own point.
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok()) << opt.status();
   EXPECT_DOUBLE_EQ(opt->objective, 16.0);
   EXPECT_EQ(GroupingOf(*opt), (Grouping{{0, 1, 2, 3}}));
@@ -224,7 +224,7 @@ TEST(GoldenExample5, GrdLmSumGets20OptimalGets21) {
   EXPECT_DOUBLE_EQ(grd->objective, 20.0);
   EXPECT_EQ(GroupingOf(*grd), (Grouping{{1}, {2, 3}, {0, 4, 5}}));
 
-  const auto opt = exact::SubsetDpSolver(problem).Run();
+  const auto opt = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(opt.ok()) << opt.status();
   // Paper: {u2,u6}, {u3,u4}, {u1,u5} with value 21.
   EXPECT_DOUBLE_EQ(opt->objective, 21.0);

@@ -37,13 +37,11 @@ class OneGroupSolver : public FormationSolver {
         problem_, static_cast<int>(group.members.size()),
         group.recommendation);
     FormationResult result;
-    result.algorithm = name();
+    result.algorithm = "one-group-stub";
     result.objective = group.satisfaction + bonus_;
     result.groups.push_back(std::move(group));
     return result;
   }
-  std::string name() const override { return "one-group-stub"; }
-  std::string description() const override { return "everyone together"; }
 
  private:
   FormationProblem problem_;
@@ -51,10 +49,12 @@ class OneGroupSolver : public FormationSolver {
 };
 
 SolverRegistry::Factory StubFactory() {
-  return [](const FormationProblem& problem, const SolverOptions& options) {
+  return [](const FormationProblem& problem, const SolverOptions& options)
+             -> common::StatusOr<std::unique_ptr<FormationSolver>> {
+    double bonus = 0.0;
+    GF_RETURN_IF_ERROR(options.ReadCheckedDouble("bonus", &bonus));
     return common::StatusOr<std::unique_ptr<FormationSolver>>(
-        std::make_unique<OneGroupSolver>(problem,
-                                         options.GetDouble("bonus", 0.0)));
+        std::make_unique<OneGroupSolver>(problem, bonus));
   };
 }
 
@@ -81,8 +81,7 @@ TEST(SolverRegistry, RegisterLookupCreateSolveUnregister) {
   const auto problem = SmallProblem(matrix);
   const auto solver = registry.Create("one-group-stub", problem);
   ASSERT_TRUE(solver.ok()) << solver.status();
-  EXPECT_EQ((*solver)->name(), "one-group-stub");
-  const auto result = (*solver)->Solve();
+  const auto result = (*solver)->Solve(0);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(ValidatePartition(problem, *result).ok());
 
@@ -103,8 +102,8 @@ TEST(SolverRegistry, FactoryReceivesTheOptionBag) {
   const auto with_bonus = registry.Create(
       "bonus-stub", problem, SolverOptions().Set("bonus", "2.5"));
   ASSERT_TRUE(with_bonus.ok());
-  const auto base = (*plain)->Solve();
-  const auto boosted = (*with_bonus)->Solve();
+  const auto base = (*plain)->Solve(0);
+  const auto boosted = (*with_bonus)->Solve(0);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(boosted.ok());
   EXPECT_DOUBLE_EQ(boosted->objective, base->objective + 2.5);
@@ -281,7 +280,8 @@ TEST(SolverOptions, EveryIntegerSolverKnobIsStrict) {
       {"sa", "cooling_interval", "1", kPastInt},
       {"anytime:sa", "iterations", "0", kPastInt},
       {"anytime:sa", "cooling_interval", "1", kPastInt},
-      {"exact", "max_users", "0", kPastInt},
+      // The subset DP's tables hold 2^max_users entries (DESIGN.md §10.1).
+      {"exact", "max_users", "0", "21"},
       {"brute", "max_users", "0", kPastInt},
       {"bnb", "max_users", "0", kPastInt},
       {"bnb", "max_nodes", "0", "9223372036854775808"},
@@ -310,21 +310,94 @@ TEST(SolverOptions, EveryIntegerSolverKnobIsStrict) {
                             SolverOptions().Set(knob.key, knob.floor))
                     .ok());
   }
+  EXPECT_TRUE(registry
+                  .Create("exact", problem,
+                          SolverOptions().Set("max_users", "20"))
+                  .ok());
 }
 
-TEST(SolverOptions, TypedGettersFallBackOnMissingOrMalformed) {
+TEST(SolverOptions, EveryDoubleAndBoolSolverKnobIsStrict) {
+  solvers::EnsureBuiltinSolversRegistered();
+  auto& registry = SolverRegistry::Global();
+  const auto matrix =
+      data::GenerateUniformDense(6, 5, data::RatingScale{1.0, 5.0}, 29);
+  const auto problem = SmallProblem(matrix);
+  struct Knob {
+    const char* solver;
+    const char* key;
+    bool is_bool;
+  };
+  const std::vector<Knob> knobs = {
+      {"localsearch", "use_swaps", true},
+      {"localsearch", "init_with_greedy", true},
+      {"anytime:localsearch", "use_swaps", true},
+      {"anytime:localsearch", "init_with_greedy", true},
+      {"sa", "cooling", false},
+      {"sa", "swap_fraction", false},
+      {"sa", "init_with_greedy", true},
+      {"anytime:sa", "cooling", false},
+      {"anytime:sa", "swap_fraction", false},
+      {"anytime:sa", "init_with_greedy", true},
+  };
+  const std::vector<std::string> bad_bools = {"nope", "zebra", "yes", "2",
+                                              "-1", "0.5"};
+  const std::vector<std::string> good_bools = {"true", "false", "1", "0",
+                                               ""};
+  const std::vector<std::string> bad_doubles = {"zebra", "", "0.5x", "inf",
+                                                "-inf", "nan", "1e999"};
+  const std::vector<std::string> good_doubles = {"0.5", "1", "-2.5e-3"};
+  for (const Knob& knob : knobs) {
+    SCOPED_TRACE(std::string(knob.solver) + " " + knob.key);
+    for (const std::string& value : knob.is_bool ? bad_bools : bad_doubles) {
+      const auto refused = registry.Create(
+          knob.solver, problem, SolverOptions().Set(knob.key, value));
+      ASSERT_FALSE(refused.ok()) << value;
+      EXPECT_EQ(refused.status().code(), common::StatusCode::kInvalidArgument)
+          << value;
+      EXPECT_NE(refused.status().message().find(knob.key), std::string::npos)
+          << refused.status();
+    }
+    for (const std::string& value :
+         knob.is_bool ? good_bools : good_doubles) {
+      EXPECT_TRUE(registry
+                      .Create(knob.solver, problem,
+                              SolverOptions().Set(knob.key, value))
+                      .ok())
+          << value;
+    }
+  }
+}
+
+TEST(SolverOptions, ReadCheckedDoubleAndBoolKeepTheFieldUnlessValid) {
   SolverOptions options;
-  options.Set("int", "42").Set("dbl", "2.5").Set("flag", "true");
-  options.Set("bad", "zebra").Set("bare", "");
-  EXPECT_DOUBLE_EQ(options.GetDouble("dbl", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(options.GetDouble("missing", 1.0), 1.0);
-  EXPECT_TRUE(options.GetBool("flag", false));
-  EXPECT_TRUE(options.GetBool("bare", false));  // bare key = true
-  EXPECT_FALSE(options.GetBool("missing", false));
-  EXPECT_FALSE(options.GetBool("bad", false));
-  EXPECT_EQ(options.GetString("bad", "d"), "zebra");
-  EXPECT_EQ(options.GetString("missing", "d"), "d");
-  EXPECT_TRUE(options.Has("int"));
+  options.Set("dbl", "2.5").Set("flag", "true").Set("off", "0");
+  options.Set("bad", "zebra").Set("bare", "").Set("inf", "inf");
+  double dbl = 1.0;
+  ASSERT_TRUE(options.ReadCheckedDouble("missing", &dbl).ok());
+  EXPECT_EQ(dbl, 1.0);
+  EXPECT_EQ(options.ReadCheckedDouble("bad", &dbl).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(options.ReadCheckedDouble("inf", &dbl).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(options.ReadCheckedDouble("bare", &dbl).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(dbl, 1.0);
+  ASSERT_TRUE(options.ReadCheckedDouble("dbl", &dbl).ok());
+  EXPECT_EQ(dbl, 2.5);
+
+  bool flag = false;
+  ASSERT_TRUE(options.ReadCheckedBool("missing", &flag).ok());
+  EXPECT_FALSE(flag);
+  EXPECT_EQ(options.ReadCheckedBool("bad", &flag).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(flag);
+  ASSERT_TRUE(options.ReadCheckedBool("flag", &flag).ok());
+  EXPECT_TRUE(flag);
+  ASSERT_TRUE(options.ReadCheckedBool("off", &flag).ok());
+  EXPECT_FALSE(flag);
+  ASSERT_TRUE(options.ReadCheckedBool("bare", &flag).ok());  // bare = true
+  EXPECT_TRUE(flag);
+  EXPECT_TRUE(options.Has("dbl"));
   EXPECT_FALSE(options.Has("missing"));
 }
 

@@ -118,7 +118,7 @@ class EveryoneAloneSolver : public core::FormationSolver {
     GF_RETURN_IF_ERROR(problem_.Validate());
     const auto scorer = problem_.MakeScorer();
     core::FormationResult result;
-    result.algorithm = name();
+    result.algorithm = "test-stub";
     const std::int32_t n = problem_.matrix->num_users();
     // Everyone alone while groups remain, then the rest ride together.
     for (UserId u = 0; u < n; ++u) {
@@ -137,8 +137,6 @@ class EveryoneAloneSolver : public core::FormationSolver {
     }
     return result;
   }
-  std::string name() const override { return "test-stub"; }
-  std::string description() const override { return "test-only stub"; }
 
  private:
   FormationProblem problem_;

@@ -176,8 +176,6 @@ class AlwaysFailsSolver : public FormationSolver {
       std::uint64_t) const override {
     return common::Status::Internal("deliberate test failure");
   }
-  std::string name() const override { return "always-fails"; }
-  std::string description() const override { return "test stub"; }
 };
 
 TEST_F(SweepTest, FailedCellsRenderErrWithCodeAndNonzeroExit) {

@@ -7,14 +7,14 @@
 // deadline can surface dominates the earlier ones.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/formation.h"
 #include "core/greedy.h"
+#include "core/solver_registry.h"
 #include "data/synthetic.h"
-#include "exact/anytime.h"
 #include "exact/local_search.h"
+#include "exact/register_solvers.h"
 #include "exact/simulated_annealing.h"
 #include "grouprec/semantics.h"
 
@@ -54,7 +54,7 @@ TEST(AnytimeContract, ZeroBudgetReturnsGreedySeedPartial) {
   const auto problem = Problem(matrix);
   LocalSearchSolver::Options options;
   options.deadline_ms = 0;
-  const auto result = LocalSearchSolver(problem, options).Run();
+  const auto result = LocalSearchSolver(problem, options).Solve(17);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->partial);
   EXPECT_EQ(result->refine_passes, 0);
@@ -117,20 +117,25 @@ TEST(AnytimeContract, SimulatedAnnealingZeroBudgetReturnsSeedPartial) {
   EXPECT_NEAR(result->objective, greedy->objective, 1e-9);
 }
 
-TEST(AnytimeContract, WrapperDelegatesAndPrefixesTheName) {
+TEST(AnytimeContract, AnytimeNameBuildsTheSolverWithItsDeadlineArmed) {
+  // "anytime:localsearch" builds localsearch with the deadline_ms option
+  // read into Options::deadline_ms.
+  exact::RegisterExactSolvers();  // idempotent: duplicates are rejected
   const auto matrix = data::GenerateLatentFactor(
       data::YahooMusicLikeConfig(40, 25, /*seed=*/819));
   const auto problem = Problem(matrix);
+  const auto created = core::SolverRegistry::Global().Create(
+      "anytime:localsearch", problem,
+      core::SolverOptions().Set("deadline_ms", "0"));
+  ASSERT_TRUE(created.ok()) << created.status();
+  const auto via_registry = (*created)->Solve(7);
   LocalSearchSolver::Options options;
   options.deadline_ms = 0;
-  const exact::AnytimeSolver wrapped(
-      std::make_unique<LocalSearchSolver>(problem, options));
-  EXPECT_EQ(wrapped.name(), "anytime:localsearch");
-  const auto via_wrapper = wrapped.Solve(7);
   const auto direct = LocalSearchSolver(problem, options).Solve(7);
-  ASSERT_TRUE(via_wrapper.ok()) << via_wrapper.status();
+  ASSERT_TRUE(via_registry.ok()) << via_registry.status();
   ASSERT_TRUE(direct.ok()) << direct.status();
-  ExpectIdentical(*via_wrapper, *direct);
+  EXPECT_TRUE(via_registry->partial);
+  ExpectIdentical(*via_registry, *direct);
 }
 
 }  // namespace

@@ -40,8 +40,8 @@ TEST_P(BnbVsDpTest, MatchesTheDpOptimum) {
   const auto matrix = data::GenerateUniformDense(
       9, 5, data::RatingScale{1.0, 5.0}, seed);
   const auto problem = Problem(matrix, semantics, aggregation, 2, ell);
-  const auto bnb = exact::BranchAndBoundSolver(problem).Run();
-  const auto dp = exact::SubsetDpSolver(problem).Run();
+  const auto bnb = exact::BranchAndBoundSolver(problem).Solve(0);
+  const auto dp = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(bnb.ok()) << bnb.status();
   ASSERT_TRUE(dp.ok()) << dp.status();
   EXPECT_NEAR(bnb->objective, dp->objective, 1e-9) << problem.ToString();
@@ -62,14 +62,14 @@ TEST(BranchAndBound, PaperExamplesOptima) {
   const auto matrix1 = data::PaperExample1();
   const auto p1 = Problem(matrix1, Semantics::kLeastMisery,
                           Aggregation::kMin, 1, 3);
-  const auto r1 = exact::BranchAndBoundSolver(p1).Run();
+  const auto r1 = exact::BranchAndBoundSolver(p1).Solve(0);
   ASSERT_TRUE(r1.ok());
   EXPECT_DOUBLE_EQ(r1->objective, 12.0);
 
   const auto matrix4 = data::PaperExample4();
   const auto p4 = Problem(matrix4, Semantics::kAggregateVoting,
                           Aggregation::kMin, 2, 2);
-  const auto r4 = exact::BranchAndBoundSolver(p4).Run();
+  const auto r4 = exact::BranchAndBoundSolver(p4).Solve(0);
   ASSERT_TRUE(r4.ok());
   EXPECT_DOUBLE_EQ(r4->objective, 16.0);
 }
@@ -79,7 +79,7 @@ TEST(BranchAndBound, RefusesOversizedInstances) {
       30, 4, data::RatingScale{1.0, 5.0}, 5);
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kMin, 2, 3);
-  EXPECT_EQ(exact::BranchAndBoundSolver(problem).Run().status().code(),
+  EXPECT_EQ(exact::BranchAndBoundSolver(problem).Solve(0).status().code(),
             common::StatusCode::kResourceExhausted);
 }
 
@@ -90,7 +90,7 @@ TEST(BranchAndBound, TinyNodeBudgetStillReturnsAtLeastGreedy) {
                                Aggregation::kMin, 2, 4);
   exact::BranchAndBoundSolver::Options options;
   options.max_nodes = 10;  // almost no search
-  const auto bnb = exact::BranchAndBoundSolver(problem, options).Run();
+  const auto bnb = exact::BranchAndBoundSolver(problem, options).Solve(0);
   ASSERT_TRUE(bnb.ok());
   EXPECT_EQ(bnb->algorithm, "BNB*");  // budget exhausted
   const auto greedy = core::RunGreedy(problem);
@@ -106,7 +106,7 @@ TEST(BranchAndBound, HandlesLargerInstancesThanTheDp) {
       18, 4, data::RatingScale{1.0, 5.0}, 11);
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kMin, 2, 3);
-  const auto bnb = exact::BranchAndBoundSolver(problem).Run();
+  const auto bnb = exact::BranchAndBoundSolver(problem).Solve(0);
   ASSERT_TRUE(bnb.ok()) << bnb.status();
   const auto greedy = core::RunGreedy(problem);
   ASSERT_TRUE(greedy.ok());

@@ -38,8 +38,8 @@ TEST_P(DpVsBruteForceTest, AgreeOnRandomInstances) {
   const auto matrix = data::GenerateUniformDense(
       7, 4, data::RatingScale{1.0, 5.0}, seed);
   const auto problem = Problem(matrix, semantics, aggregation, k, ell);
-  const auto dp = exact::SubsetDpSolver(problem).Run();
-  const auto bf = exact::BruteForceSolver(problem).Run();
+  const auto dp = exact::SubsetDpSolver(problem).Solve(0);
+  const auto bf = exact::BruteForceSolver(problem).Solve(0);
   ASSERT_TRUE(dp.ok()) << dp.status();
   ASSERT_TRUE(bf.ok()) << bf.status();
   EXPECT_NEAR(dp->objective, bf->objective, 1e-9) << problem.ToString();
@@ -63,7 +63,7 @@ TEST(SubsetDp, RefusesOversizedInstances) {
       20, 4, data::RatingScale{1.0, 5.0}, 1);
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kMin, 2, 3);
-  const auto result = exact::SubsetDpSolver(problem).Run();
+  const auto result = exact::SubsetDpSolver(problem).Solve(0);
   EXPECT_EQ(result.status().code(),
             common::StatusCode::kResourceExhausted);
 }
@@ -72,7 +72,7 @@ TEST(SubsetDp, EllOneIsTheWholePopulationScore) {
   const auto matrix = data::PaperExample1();
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kMin, 1, 1);
-  const auto result = exact::SubsetDpSolver(problem).Run();
+  const auto result = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_groups(), 1);
   // One group of all six users; best LM top-1 score is 1 (all items have a
@@ -89,7 +89,7 @@ TEST(SubsetDp, MoreGroupsNeverHurt) {
     for (int ell = 1; ell <= 4; ++ell) {
       const auto problem =
           Problem(matrix, semantics, Aggregation::kMin, 2, ell);
-      const auto result = exact::SubsetDpSolver(problem).Run();
+      const auto result = exact::SubsetDpSolver(problem).Solve(0);
       ASSERT_TRUE(result.ok());
       EXPECT_GE(result->objective, previous - 1e-9);
       previous = result->objective;
@@ -101,7 +101,7 @@ TEST(SubsetDp, SingletonPartitionWhenEllEqualsUsers) {
   const auto matrix = data::PaperExample1();
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kMax, 1, 6);
-  const auto result = exact::SubsetDpSolver(problem).Run();
+  const auto result = exact::SubsetDpSolver(problem).Solve(0);
   ASSERT_TRUE(result.ok());
   // With ell = n, the optimum gives everyone their own favourite: the sum
   // of per-user maxima: 4+5+5+5+3+5 = 27.

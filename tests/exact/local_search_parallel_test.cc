@@ -213,7 +213,7 @@ TEST_F(LocalSearchParallelTest, ObjectiveMonotoneNonDecreasingPerPass) {
   for (int passes = 0; passes <= 6; ++passes) {
     LocalSearchSolver::Options options;
     options.max_passes = passes;
-    const auto result = LocalSearchSolver(problem, options).Run();
+    const auto result = LocalSearchSolver(problem, options).Solve(17);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_GE(result->objective, previous - 1e-9) << "passes=" << passes;
     EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
@@ -224,7 +224,7 @@ TEST_F(LocalSearchParallelTest, ObjectiveMonotoneNonDecreasingPerPass) {
 TEST_F(LocalSearchParallelTest, SingleGroupInstancePlansNoMoves) {
   const auto matrix = data::GenerateClusteredDense(12, 8, 2, 71);
   const auto problem = Problem(matrix, /*k=*/2, /*ell=*/1);
-  const auto result = LocalSearchSolver(problem).Run();
+  const auto result = LocalSearchSolver(problem).Solve(17);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
   EXPECT_EQ(result->num_groups(), 1);
@@ -242,8 +242,8 @@ TEST_F(LocalSearchParallelTest, StaleParallelKnobsAreIgnored) {
       core::SolverOptions().Set("parallel_moves", "zebra").Set(
           "shard_min_items", "zebra"));
   ASSERT_TRUE(stale.ok()) << stale.status();
-  const auto solved = (*stale)->Solve();
-  const auto plain = LocalSearchSolver(problem).Run();
+  const auto solved = (*stale)->Solve(17);
+  const auto plain = LocalSearchSolver(problem).Solve(17);
   ASSERT_TRUE(solved.ok()) << solved.status();
   ASSERT_TRUE(plain.ok()) << plain.status();
   EXPECT_EQ(solved->objective, plain->objective);  // bitwise

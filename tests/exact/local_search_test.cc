@@ -37,7 +37,7 @@ TEST(LocalSearch, NeverBelowGreedySeed) {
       const auto problem = Problem(matrix, semantics, aggregation, 3, 6);
       const auto greedy = core::RunGreedy(problem);
       ASSERT_TRUE(greedy.ok());
-      const auto ls = exact::LocalSearchSolver(problem).Run();
+      const auto ls = exact::LocalSearchSolver(problem).Solve(17);
       ASSERT_TRUE(ls.ok()) << ls.status();
       EXPECT_GE(ls->objective, greedy->objective - 1e-9)
           << problem.ToString();
@@ -52,9 +52,9 @@ TEST(LocalSearch, ReachesOrApproachesTheOptimumOnSmallInstances) {
         9, 5, data::RatingScale{1.0, 5.0}, seed);
     const auto problem = Problem(matrix, Semantics::kAggregateVoting,
                                  Aggregation::kMin, 2, 3);
-    const auto opt = exact::SubsetDpSolver(problem).Run();
+    const auto opt = exact::SubsetDpSolver(problem).Solve(0);
     ASSERT_TRUE(opt.ok());
-    const auto ls = exact::LocalSearchSolver(problem).Run();
+    const auto ls = exact::LocalSearchSolver(problem).Solve(17);
     ASSERT_TRUE(ls.ok());
     EXPECT_LE(ls->objective, opt->objective + 1e-9);
     // Hill climbing from the greedy seed should recover most of the gap.
@@ -69,7 +69,7 @@ TEST(LocalSearch, RandomInitAlsoProducesValidPartitions) {
   exact::LocalSearchSolver::Options options;
   options.init_with_greedy = false;
   options.max_passes = 10;
-  const auto result = exact::LocalSearchSolver(problem, options).Run();
+  const auto result = exact::LocalSearchSolver(problem, options).Solve(17);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(core::ValidatePartition(problem, *result).ok());
 }
@@ -78,8 +78,8 @@ TEST(LocalSearch, DeterministicForFixedSeed) {
   const auto matrix = data::GenerateClusteredDense(30, 12, 3, 41);
   const auto problem = Problem(matrix, Semantics::kAggregateVoting,
                                Aggregation::kSum, 2, 4);
-  const auto a = exact::LocalSearchSolver(problem).Run();
-  const auto b = exact::LocalSearchSolver(problem).Run();
+  const auto a = exact::LocalSearchSolver(problem).Solve(17);
+  const auto b = exact::LocalSearchSolver(problem).Solve(17);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->objective, b->objective);

@@ -41,7 +41,7 @@ TEST(SimulatedAnnealing, NeverBelowGreedySeed) {
     exact::SimulatedAnnealingSolver::Options options;
     options.iterations = 4000;
     const auto sa =
-        exact::SimulatedAnnealingSolver(problem, options).Run();
+        exact::SimulatedAnnealingSolver(problem, options).Solve(23);
     ASSERT_TRUE(sa.ok()) << sa.status();
     EXPECT_GE(sa->objective, greedy->objective - 1e-9)
         << problem.ToString();
@@ -55,12 +55,12 @@ TEST(SimulatedAnnealing, ApproachesTheOptimumOnSmallInstances) {
         10, 5, data::RatingScale{1.0, 5.0}, seed);
     const auto problem = Problem(matrix, Semantics::kAggregateVoting,
                                  Aggregation::kMin, 2, 3);
-    const auto opt = exact::SubsetDpSolver(problem).Run();
+    const auto opt = exact::SubsetDpSolver(problem).Solve(0);
     ASSERT_TRUE(opt.ok());
     exact::SimulatedAnnealingSolver::Options options;
     options.iterations = 8000;
     const auto sa =
-        exact::SimulatedAnnealingSolver(problem, options).Run();
+        exact::SimulatedAnnealingSolver(problem, options).Solve(23);
     ASSERT_TRUE(sa.ok());
     EXPECT_LE(sa->objective, opt->objective + 1e-9);
     EXPECT_GE(sa->objective, 0.9 * opt->objective) << "seed " << seed;
@@ -73,8 +73,8 @@ TEST(SimulatedAnnealing, DeterministicForFixedSeed) {
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kSum, 3, 4);
   exact::SimulatedAnnealingSolver::Options options;
   options.iterations = 2000;
-  const auto a = exact::SimulatedAnnealingSolver(problem, options).Run();
-  const auto b = exact::SimulatedAnnealingSolver(problem, options).Run();
+  const auto a = exact::SimulatedAnnealingSolver(problem, options).Solve(23);
+  const auto b = exact::SimulatedAnnealingSolver(problem, options).Solve(23);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->objective, b->objective);
@@ -87,7 +87,7 @@ TEST(SimulatedAnnealing, RandomInitStillProducesValidPartitions) {
   exact::SimulatedAnnealingSolver::Options options;
   options.init_with_greedy = false;
   options.iterations = 3000;
-  const auto sa = exact::SimulatedAnnealingSolver(problem, options).Run();
+  const auto sa = exact::SimulatedAnnealingSolver(problem, options).Solve(23);
   ASSERT_TRUE(sa.ok());
   EXPECT_TRUE(core::ValidatePartition(problem, *sa).ok());
 }
@@ -98,7 +98,7 @@ TEST(SimulatedAnnealing, SingleGroupDegeneratesGracefully) {
       Problem(matrix, Semantics::kLeastMisery, Aggregation::kMin, 2, 1);
   exact::SimulatedAnnealingSolver::Options options;
   options.iterations = 500;
-  const auto sa = exact::SimulatedAnnealingSolver(problem, options).Run();
+  const auto sa = exact::SimulatedAnnealingSolver(problem, options).Solve(23);
   ASSERT_TRUE(sa.ok());
   EXPECT_EQ(sa->num_groups(), 1);
   EXPECT_TRUE(core::ValidatePartition(problem, *sa).ok());
@@ -130,7 +130,8 @@ TEST(SimulatedAnnealing, RegistryRefusesACoolingIntervalOutsideTheIntRange) {
           name, problem,
           core::SolverOptions().Set("cooling_interval", interval));
       ASSERT_TRUE(accepted.ok()) << name << " " << accepted.status();
-      EXPECT_TRUE((*accepted)->Solve().ok()) << name << " " << interval;
+      EXPECT_TRUE((*accepted)->Solve(core::FormationSolver::kDefaultSeed).ok())
+          << name << " " << interval;
     }
   }
 }

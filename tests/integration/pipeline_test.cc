@@ -45,10 +45,10 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
 
   // 4. The solution validates, and the solver ladder behaves.
   EXPECT_TRUE(core::ValidatePartition(problem, *formed).ok());
-  const auto refined = exact::LocalSearchSolver(problem).Run();
+  const auto refined = exact::LocalSearchSolver(problem).Solve(17);
   ASSERT_TRUE(refined.ok());
   EXPECT_GE(refined->objective, formed->objective - 1e-9);
-  const auto clustered = baseline::RunBaseline(problem);
+  const auto clustered = baseline::BaselineFormer(problem).Solve(99);
   ASSERT_TRUE(clustered.ok());
   EXPECT_GE(formed->objective, clustered->objective - 1e-9);
 

@@ -52,8 +52,8 @@ TEST(Protocol, RequestFieldsSurviveTheRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->id, "req-7");
   EXPECT_EQ(parsed->solver, "localsearch");
-  EXPECT_EQ(parsed->options.GetString("max_passes", ""), "10");
-  EXPECT_EQ(parsed->options.GetString("use_swaps", ""), "0");
+  EXPECT_EQ(parsed->options.entries().at("max_passes"), "10");
+  EXPECT_EQ(parsed->options.entries().at("use_swaps"), "0");
   EXPECT_EQ(parsed->instance.kind, "inline");
   ASSERT_EQ(parsed->instance.ratings.size(), 5u);
   EXPECT_EQ(parsed->instance.ratings[4].rating, 2.5);
@@ -202,10 +202,10 @@ TEST(Protocol, OptionValuesCoerceToStrings) {
       R"("options":{"iters":200,"alpha":0.95,"verbose":true,"tag":"x"},)"
       R"("instance":{"kind":"dense","users":4,"items":3}})");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->options.GetString("iters", ""), "200");
-  EXPECT_EQ(parsed->options.GetString("alpha", ""), "0.95");
-  EXPECT_EQ(parsed->options.GetString("verbose", ""), "1");
-  EXPECT_EQ(parsed->options.GetString("tag", ""), "x");
+  EXPECT_EQ(parsed->options.entries().at("iters"), "200");
+  EXPECT_EQ(parsed->options.entries().at("alpha"), "0.95");
+  EXPECT_EQ(parsed->options.entries().at("verbose"), "1");
+  EXPECT_EQ(parsed->options.entries().at("tag"), "x");
 }
 
 TEST(Protocol, CanonicalKeysSeparateInstances) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -222,11 +223,16 @@ TEST_F(ServerDeterminismTest, BadIntegerKnobIsErrAndTheNextLineRuns) {
   // 2^32 (which an int cast would wrap to 0), must be refused at Create,
   // not divide by zero inside the server. An int cast would wrap an
   // iterations count of 2^31 to a negative one, and sa would then run no
-  // proposal and answer OK with its seed's objective.
+  // proposal and answer OK with its seed's objective. The subset DP's
+  // 32-bit masks wrapped on 33 users and answered OK with one user
+  // grouped; max_users is now capped at 20. Malformed double and bool
+  // knobs used to run silently with the solver's defaults.
   struct BadKnob {
     const char* solver;
     const char* key;
     const char* value;
+    std::int32_t users = 8;
+    std::int32_t items = 5;
   };
   const std::vector<BadKnob> knobs = {
       {"sa", "cooling_interval", "0"},
@@ -234,6 +240,9 @@ TEST_F(ServerDeterminismTest, BadIntegerKnobIsErrAndTheNextLineRuns) {
       {"sa", "cooling_interval", "4294967296"},
       {"anytime:sa", "cooling_interval", "4294967296"},
       {"sa", "iterations", "2147483648"},
+      {"exact", "max_users", "40", 33, 6},
+      {"sa", "cooling", "zebra"},
+      {"localsearch", "init_with_greedy", "nope"},
   };
   common::ThreadPool::SetDefaultThreadCount(1);
   std::string requests;
@@ -243,8 +252,8 @@ TEST_F(ServerDeterminismTest, BadIntegerKnobIsErrAndTheNextLineRuns) {
     request.solver = knob.solver;
     request.options.Set(knob.key, knob.value);
     request.instance.kind = "dense";
-    request.instance.users = 8;
-    request.instance.items = 5;
+    request.instance.users = knob.users;
+    request.instance.items = knob.items;
     requests += RenderRequest(request) + "\n";
   }
   const std::size_t refused = knobs.size();
