@@ -45,17 +45,6 @@ void BM_TopKListExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKListExtraction)->Arg(5)->Arg(25)->Arg(125);
 
-void BM_PreferenceListStoreBuild(benchmark::State& state) {
-  const auto& matrix = SharedMatrix(
-      static_cast<std::int32_t>(state.range(0)));
-  for (auto _ : state) {
-    recsys::PreferenceListStore store(matrix, 5);
-    benchmark::DoNotOptimize(store.num_users());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PreferenceListStoreBuild)->Arg(1000)->Arg(10000);
-
 void BM_GreedyFormation(benchmark::State& state) {
   const auto& matrix = SharedMatrix(
       static_cast<std::int32_t>(state.range(0)));

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cmath>
+
 #include "common/strings.h"
 
 namespace groupform::common {
@@ -49,25 +51,6 @@ std::string FlagParser::GetString(const std::string& name,
   return it != flags_.end() ? it->second : fallback;
 }
 
-StatusOr<long long> FlagParser::GetIntOr(const std::string& name) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return Status::NotFound("flag --" + name + " not set");
-  }
-  long long value = 0;
-  if (!ParseInt64(it->second, &value)) {
-    return Status::InvalidArgument("flag --" + name +
-                                   " is not an integer: " + it->second);
-  }
-  return value;
-}
-
-long long FlagParser::GetInt(const std::string& name,
-                             long long fallback) const {
-  const auto value = GetIntOr(name);
-  return value.ok() ? *value : fallback;
-}
-
 StatusOr<long long> FlagParser::GetIntInRange(const std::string& name,
                                               long long fallback,
                                               long long min_value,
@@ -84,29 +67,28 @@ StatusOr<long long> FlagParser::GetIntInRange(const std::string& name,
   return value;
 }
 
-StatusOr<double> FlagParser::GetDoubleOr(const std::string& name) const {
+StatusOr<double> FlagParser::GetFiniteDouble(const std::string& name,
+                                             double fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return Status::NotFound("flag --" + name + " not set");
-  }
+  if (it == flags_.end()) return fallback;
   double value = 0.0;
-  if (!ParseDouble(it->second, &value)) {
-    return Status::InvalidArgument("flag --" + name +
-                                   " is not a number: " + it->second);
+  if (!ParseDouble(it->second, &value) || !std::isfinite(value)) {
+    return Status::InvalidArgument(
+        StrFormat("--%s must be a finite number, got \"%s\"", name.c_str(),
+                  it->second.c_str()));
   }
   return value;
 }
 
-double FlagParser::GetDouble(const std::string& name,
-                             double fallback) const {
-  const auto value = GetDoubleOr(name);
-  return value.ok() ? *value : fallback;
-}
-
-bool FlagParser::GetBool(const std::string& name, bool fallback) const {
+StatusOr<bool> FlagParser::GetCheckedBool(const std::string& name,
+                                          bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  if (it->second == "true" || it->second == "1") return true;
+  if (it->second == "false" || it->second == "0") return false;
+  return Status::InvalidArgument(
+      StrFormat("--%s must be true, false, 1 or 0, got \"%s\"",
+                name.c_str(), it->second.c_str()));
 }
 
 }  // namespace groupform::common

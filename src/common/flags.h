@@ -9,13 +9,14 @@
 
 namespace groupform::common {
 
-/// Minimal command-line flag parser for the library's tools and examples:
-/// accepts "--name=value" and "--name value"; bare "--name" is the boolean
-/// true; everything else is a positional argument.
+/// Minimal command-line flag parser for the library's tools: accepts
+/// "--name=value" and "--name value"; bare "--name" is the boolean true;
+/// everything else is a positional argument.
 ///
 ///   FlagParser flags;
 ///   GF_RETURN_IF_ERROR(flags.Parse(argc, argv));
-///   const int k = flags.GetInt("k", 5);
+///   GF_ASSIGN_OR_RETURN(const long long k,
+///                       flags.GetIntInRange("k", 5, 1, 100));
 class FlagParser {
  public:
   /// Parses argv; fails on malformed flags (e.g. "--=x").
@@ -23,21 +24,21 @@ class FlagParser {
 
   bool Has(const std::string& name) const;
 
-  /// Typed getters with defaults; a present-but-malformed value fails the
-  /// program's expectations loudly via the Status-returning variants.
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
-  StatusOr<long long> GetIntOr(const std::string& name) const;
-  long long GetInt(const std::string& name, long long fallback) const;
-  /// `fallback` when the flag is absent, else its value when that is an
-  /// integer in [min_value, max_value]; INVALID_ARGUMENT naming the flag
-  /// and the range otherwise.
+
+  /// The strict typed getters. Each returns `fallback` when the flag is
+  /// absent, else its parsed value; a value that does not parse (or an
+  /// integer outside [min_value, max_value]) is INVALID_ARGUMENT naming
+  /// the flag, so a tool can print the message as is and exit 2. Doubles
+  /// must be finite; bools are true, false, 1 or 0 (a bare flag is true).
   StatusOr<long long> GetIntInRange(const std::string& name,
                                     long long fallback, long long min_value,
                                     long long max_value) const;
-  StatusOr<double> GetDoubleOr(const std::string& name) const;
-  double GetDouble(const std::string& name, double fallback) const;
-  bool GetBool(const std::string& name, bool fallback) const;
+  StatusOr<double> GetFiniteDouble(const std::string& name,
+                                   double fallback) const;
+  StatusOr<bool> GetCheckedBool(const std::string& name,
+                                bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

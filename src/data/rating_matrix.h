@@ -106,7 +106,7 @@ class RatingMatrix {
 
   /// Logical payload bytes of the CSR storage: 16 bytes per entry plus
   /// 8 bytes per row-offset slot. This is the exact figure InstanceCache
-  /// charges against GF_SERVE_CACHE_MB (it excludes vector slack and the
+  /// charges against its budget (it excludes vector slack and the
   /// fixed object header, which are noise at instance scale).
   std::int64_t ByteSize() const {
     return static_cast<std::int64_t>(entries_.size()) *

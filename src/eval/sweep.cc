@@ -42,14 +42,6 @@ int EffectiveRepetitions(int spec_repetitions) {
   return static_cast<int>(parsed);
 }
 
-/// `over` wins key-by-key on top of `base`.
-core::SolverOptions MergeOptions(const core::SolverOptions& base,
-                                 const core::SolverOptions& over) {
-  core::SolverOptions merged = base;
-  for (const auto& [key, value] : over.entries()) merged.Set(key, value);
-  return merged;
-}
-
 template <typename Map>
 std::int64_t CapFor(const Map& overrides, const std::string& solver,
                     std::int64_t fallback) {
@@ -102,16 +94,12 @@ std::vector<SweepSeries> ExpandSeries(const SweepSpec& spec) {
 void RunRow(const SweepSpec& spec, const std::vector<SweepSeries>& series,
             int x, int repetitions, const std::vector<SweepMetric>& metrics,
             SweepCell* cells) {
-  std::vector<core::SolverOptions> options;
-  options.reserve(series.size());
   for (std::size_t col = 0; col < series.size(); ++col) {
     SweepCell& cell = cells[col];
     cell.x = x;
     cell.solver = series[col].solver;
     cell.label = series[col].label;
     cell.values.assign(metrics.size(), 0.0);
-    options.push_back(
-        MergeOptions(spec.common_options, series[col].options));
   }
   std::optional<SweepInstance> instance;
   for (int rep = 0; rep < repetitions; ++rep) {
@@ -141,7 +129,7 @@ void RunRow(const SweepSpec& spec, const std::vector<SweepSeries>& series,
       const auto outcome = RunAlgorithmByName(
           series[col].solver, problem,
           spec.seed + static_cast<std::uint64_t>(rep) * 7919,
-          options[col]);
+          series[col].options);
       if (!outcome.ok()) {
         // The solver's own budget (subset DP's max_users, ...) is the
         // paper's "omitted" case; anything else is a genuine failure.

@@ -83,7 +83,7 @@ struct SweepSeries {
   /// Column label; empty derives SolverDisplayLabel(solver) + the spec's
   /// series_suffix.
   std::string label;
-  /// Per-series solver options, overriding the spec's common_options.
+  /// Per-series solver options.
   core::SolverOptions options;
   /// Optional problem adjustment applied after the instance factory (e.g.
   /// Table 4 sweeping the aggregation while everything else is fixed).
@@ -124,8 +124,6 @@ struct SweepSpec {
   std::vector<SweepSeries> series;
   /// Appended to derived series labels ("-LM-MAX").
   std::string series_suffix;
-  /// Options applied to every cell (series options override per key).
-  core::SolverOptions common_options;
   /// Per-registry-name option overrides for registry-driven series (e.g.
   /// the scalability benches' truncated-Kendall baseline settings).
   std::map<std::string, core::SolverOptions> solver_options;

@@ -110,8 +110,10 @@ void RegisterExactSolvers() {
       [](const FormationProblem& problem,
          const SolverOptions& options) -> SolverOr {
         BruteForceSolver::Options opt;
-        GF_RETURN_IF_ERROR(
-            options.ReadCheckedInt("max_users", 0, &opt.max_users));
+        GF_ASSIGN_OR_RETURN(
+            opt.max_users,
+            options.GetCheckedInt("max_users", opt.max_users, 0,
+                                  BruteForceSolver::kMaxUsersCeiling));
         return SolverOr(std::make_unique<BruteForceSolver>(problem, opt));
       });
 

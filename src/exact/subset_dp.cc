@@ -123,10 +123,10 @@ common::StatusOr<FormationResult> BruteForceSolver::Solve(
     std::uint64_t) const {
   GF_RETURN_IF_ERROR(problem_.Validate());
   const int n = problem_.Store().num_users();
-  if (n > options_.max_users) {
+  const int max_users = std::min(options_.max_users, kMaxUsersCeiling);
+  if (n > max_users) {
     return Status::ResourceExhausted(common::StrFormat(
-        "BruteForceSolver handles at most %d users, got %d",
-        options_.max_users, n));
+        "BruteForceSolver handles at most %d users, got %d", max_users, n));
   }
   // Group scores cover the full catalogue whatever candidate_depth says.
   core::FormationProblem full_catalogue = problem_;

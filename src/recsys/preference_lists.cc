@@ -33,27 +33,4 @@ std::vector<data::RatingEntry> TopKList(const data::RatingStore& store,
   return list;
 }
 
-PreferenceListStore::PreferenceListStore(const data::RatingStore& store,
-                                         int k)
-    : k_(k) {
-  GF_CHECK_GT(k, 0);
-  offsets_.reserve(static_cast<std::size_t>(store.num_users()) + 1);
-  offsets_.push_back(0);
-  // Worst case every user has >= k ratings.
-  entries_.reserve(static_cast<std::size_t>(store.num_users()) *
-                   static_cast<std::size_t>(k));
-  std::vector<data::RatingEntry> scratch;
-  std::vector<data::RatingEntry> row_scratch;
-  for (UserId u = 0; u < store.num_users(); ++u) {
-    const auto row = store.Row(u, row_scratch);
-    scratch.assign(row.begin(), row.end());
-    const std::size_t keep =
-        std::min<std::size_t>(static_cast<std::size_t>(k), scratch.size());
-    std::partial_sort(scratch.begin(), scratch.begin() + keep, scratch.end(),
-                      PrefersEntry);
-    entries_.insert(entries_.end(), scratch.begin(), scratch.begin() + keep);
-    offsets_.push_back(entries_.size());
-  }
-}
-
 }  // namespace groupform::recsys

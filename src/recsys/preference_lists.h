@@ -1,7 +1,6 @@
 #ifndef GROUPFORM_RECSYS_PREFERENCE_LISTS_H_
 #define GROUPFORM_RECSYS_PREFERENCE_LISTS_H_
 
-#include <span>
 #include <vector>
 
 #include "data/rating_matrix.h"
@@ -28,32 +27,6 @@ std::vector<data::RatingEntry> FullPreferenceList(
 /// rated fewer than k items.
 std::vector<data::RatingEntry> TopKList(const data::RatingStore& store,
                                         UserId user, int k);
-
-/// Precomputed top-k lists for the whole population, stored contiguously.
-/// Building costs O(sum_u d_u log k); the greedy algorithms then read each
-/// user's list in O(k).
-class PreferenceListStore {
- public:
-  /// Builds top-`k` lists for every user of the store's population.
-  PreferenceListStore(const data::RatingStore& store, int k);
-
-  int k() const { return k_; }
-  std::int32_t num_users() const {
-    return static_cast<std::int32_t>(offsets_.size()) - 1;
-  }
-
-  /// The user's top-k list (possibly shorter than k).
-  std::span<const data::RatingEntry> TopK(UserId user) const {
-    const auto begin = offsets_[static_cast<std::size_t>(user)];
-    const auto end = offsets_[static_cast<std::size_t>(user) + 1];
-    return {entries_.data() + begin, entries_.data() + end};
-  }
-
- private:
-  int k_;
-  std::vector<std::size_t> offsets_;
-  std::vector<data::RatingEntry> entries_;
-};
 
 }  // namespace groupform::recsys
 

@@ -1,15 +1,14 @@
 #ifndef GROUPFORM_SERVE_CLIENT_H_
 #define GROUPFORM_SERVE_CLIENT_H_
 
-// A persistent loopback/LAN client for both serving wires (DESIGN.md
-// §15.3). Where SendRequestLines is one-shot — connect, send, half-close,
-// read everything — WireClient holds the connection open, speaks either
-// newline-JSON or the GFB1 binary frame codec, and does the client half
-// of the credit contract: it counts the hello's initial window down on
-// every send and back up on every response frame, and CallPipelined
-// blocks for responses whenever the balance hits zero. Request and
-// response payloads are the canonical JSON documents on both wires, so
-// callers can diff responses across wires byte-for-byte.
+// The loopback/LAN client for both serving wires (DESIGN.md §15.3).
+// WireClient holds the connection open, speaks either newline-JSON or
+// the GFB1 binary frame codec, and does the client half of the credit
+// contract: it counts the hello's initial window down on every send and
+// back up on every response frame, and CallPipelined blocks for
+// responses whenever the balance hits zero. Request and response
+// payloads are the canonical JSON documents on both wires, so callers
+// can diff responses across wires byte-for-byte.
 //
 // Not thread-safe: one WireClient per thread, like one socket per
 // thread.

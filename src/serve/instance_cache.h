@@ -54,7 +54,7 @@ struct LoadedInstance {
   /// footprint (ByteSize) for in-RAM backends; an mmap-backed instance
   /// charges only its fixed resident overhead — the kernel owns the
   /// payload pages and reclaims them under memory pressure, which is how
-  /// serverd serves instances larger than GF_SERVE_CACHE_MB
+  /// serverd serves instances larger than its --cache-mb budget
   /// (DESIGN.md §14.3).
   std::int64_t ChargedBytes() const;
 

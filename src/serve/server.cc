@@ -10,7 +10,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -29,18 +28,6 @@ namespace groupform::serve {
 namespace {
 
 using common::Status;
-
-long long EnvInt(const char* name, long long fallback, long long min_value,
-                 long long max_value) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  long long parsed = 0;
-  if (!common::ParseInt64(value, &parsed) || parsed < min_value ||
-      parsed > max_value) {
-    return fallback;
-  }
-  return parsed;
-}
 
 /// The per-stream pipelining window: request lines become ThreadPool jobs
 /// immediately, and a dedicated writer thread retires them strictly in
@@ -233,23 +220,6 @@ bool SendAll(int fd, const std::string& data) {
 }
 
 }  // namespace
-
-ServerConfig ServerConfigFromEnv() {
-  ServerConfig config;
-  config.port = static_cast<int>(
-      EnvInt("GF_SERVE_PORT", config.port, 0, 65535));
-  config.max_inflight = static_cast<int>(
-      EnvInt("GF_SERVE_MAX_INFLIGHT", config.max_inflight, 1, 1 << 20));
-  return config;
-}
-
-SessionConfig SessionConfigFromEnv() {
-  SessionConfig config;
-  const long long mb =
-      EnvInt("GF_SERVE_CACHE_MB", 256, 0, 1ll << 40);
-  config.cache_bytes = mb <= 0 ? 0 : mb * 1024 * 1024;
-  return config;
-}
 
 long long ServePipe(LineHandler& handler, std::istream& in, std::ostream& out,
                     int max_inflight) {
@@ -478,7 +448,7 @@ void TcpServer::HandleJsonConnection(int fd, std::string pending,
     pending.append(buffer, static_cast<std::size_t>(n));
   }
   // A final unterminated line still counts as a request — but only after
-  // a clean EOF (the half-close idiom of SendRequestLines). After a
+  // a clean EOF (a client that half-closes after its last line). After a
   // transport error the tail is torn, not truncated-on-purpose.
   if (!overflowed && !aborted && !recv_error && NormalizeLine(pending)) {
     executor.Enqueue(std::move(pending), /*batch=*/false);
@@ -561,66 +531,6 @@ void TcpServer::HandleFramedConnection(int fd, std::string pending) {
   }
   executor.Drain();
   ::close(fd);
-}
-
-common::StatusOr<std::vector<std::string>> SendRequestLines(
-    const std::string& host, int port,
-    const std::vector<std::string>& lines) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(common::StrFormat("socket: %s",
-                                              std::strerror(errno)));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("not an IPv4 address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status status = Status::Internal(common::StrFormat(
-        "connect(%s:%d): %s", host.c_str(), port, std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  std::string payload;
-  for (const std::string& line : lines) {
-    payload += line;
-    payload += '\n';
-  }
-  if (!SendAll(fd, payload)) {
-    const Status status = Status::Internal(
-        common::StrFormat("send: %s", std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  ::shutdown(fd, SHUT_WR);
-  std::string received;
-  char buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const Status status = Status::Internal(
-          common::StrFormat("recv: %s", std::strerror(errno)));
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    received.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  std::vector<std::string> responses;
-  for (const auto& piece : common::Split(received, '\n')) {
-    if (!piece.empty()) responses.push_back(piece);
-  }
-  if (responses.size() != lines.size()) {
-    return Status::DataLoss(common::StrFormat(
-        "sent %zu requests but received %zu responses", lines.size(),
-        responses.size()));
-  }
-  return responses;
 }
 
 }  // namespace groupform::serve

@@ -34,7 +34,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "serve/line_handler.h"
@@ -42,7 +41,8 @@
 
 namespace groupform::serve {
 
-/// Transport knobs, normally read from the GF_SERVE_* environment.
+/// Transport knobs; the daemons set them from their --port and
+/// --max-inflight flags.
 struct ServerConfig {
   /// TCP listen port; 0 asks the OS for an ephemeral port (the bound
   /// port is reported by TcpServer::port()).
@@ -53,13 +53,6 @@ struct ServerConfig {
   /// bound, so a client that ignores its credits gains nothing.
   int max_inflight = 4;
 };
-
-/// GF_SERVE_PORT / GF_SERVE_MAX_INFLIGHT, with the defaults above for
-/// unset or malformed values.
-ServerConfig ServerConfigFromEnv();
-
-/// GF_SERVE_CACHE_MB → SessionConfig (default 256 MB; 0 = unlimited).
-SessionConfig SessionConfigFromEnv();
 
 /// Longest accepted request line; longer lines answer a single
 /// ERR(INVALID_ARGUMENT) response (an inline instance of a million
@@ -119,14 +112,6 @@ class TcpServer {
   std::condition_variable conn_cv_;
   int active_connections_ = 0;
 };
-
-/// Minimal loopback client for `groupform_cli request` and the smoke
-/// tests: connects, sends every line, half-closes, and returns one
-/// response line per request line. Fails on connection errors or a short
-/// response stream.
-common::StatusOr<std::vector<std::string>> SendRequestLines(
-    const std::string& host, int port,
-    const std::vector<std::string>& lines);
 
 }  // namespace groupform::serve
 

@@ -22,30 +22,6 @@ namespace {
 
 using common::Status;
 
-/// ProblemSpec → FormationProblem over `instance`, via the shared token
-/// mappings in grouprec/semantics.h (the same ones the CLI flags use). The
-/// problem reads whichever backend is loaded (dense, compact, or mmap)
-/// through the FormationProblem::Store() seam the solvers use; it holds
-/// raw pointers, so `instance` must outlive the solve.
-common::StatusOr<core::FormationProblem> BuildProblem(
-    const ProblemSpec& spec, const LoadedInstance& instance) {
-  core::FormationProblem problem;
-  problem.matrix = instance.dense.get();
-  problem.compact = instance.compact.get();
-  GF_ASSIGN_OR_RETURN(problem.semantics,
-                      grouprec::SemanticsFromToken(spec.semantics));
-  GF_ASSIGN_OR_RETURN(problem.aggregation,
-                      grouprec::AggregationFromToken(spec.aggregation));
-  GF_ASSIGN_OR_RETURN(problem.missing,
-                      grouprec::MissingPolicyFromToken(spec.missing));
-  problem.k = spec.k;
-  problem.max_groups = spec.groups;
-  problem.candidate_depth = spec.candidate_depth;
-  problem.constraints = spec.constraints;
-  GF_RETURN_IF_ERROR(problem.Validate());
-  return problem;
-}
-
 /// An epoch's post-delta matrix as the dense instance a problem is built
 /// over.
 LoadedInstance AsLoaded(const InstanceCache::EpochInstance& epoch) {
@@ -325,6 +301,25 @@ common::StatusOr<Solved> SolveFresh(const Request& request,
 }
 
 }  // namespace
+
+common::StatusOr<core::FormationProblem> BuildProblem(
+    const ProblemSpec& spec, const LoadedInstance& instance) {
+  core::FormationProblem problem;
+  problem.matrix = instance.dense.get();
+  problem.compact = instance.compact.get();
+  GF_ASSIGN_OR_RETURN(problem.semantics,
+                      grouprec::SemanticsFromToken(spec.semantics));
+  GF_ASSIGN_OR_RETURN(problem.aggregation,
+                      grouprec::AggregationFromToken(spec.aggregation));
+  GF_ASSIGN_OR_RETURN(problem.missing,
+                      grouprec::MissingPolicyFromToken(spec.missing));
+  problem.k = spec.k;
+  problem.max_groups = spec.groups;
+  problem.candidate_depth = spec.candidate_depth;
+  problem.constraints = spec.constraints;
+  GF_RETURN_IF_ERROR(problem.Validate());
+  return problem;
+}
 
 Session::Session(SessionConfig config)
     : config_(config), cache_(config.cache_bytes) {}

@@ -12,20 +12,31 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/formation.h"
 #include "serve/instance_cache.h"
 #include "serve/line_handler.h"
 #include "serve/protocol.h"
 
 namespace groupform::serve {
 
-/// Serving knobs, normally read from the GF_SERVE_* environment.
+/// Serving knobs; groupform_serverd sets them from its --cache-mb and
+/// --user-cap flags.
 struct SessionConfig {
-  /// InstanceCache byte budget (GF_SERVE_CACHE_MB; <= 0 = unlimited).
+  /// InstanceCache byte budget (<= 0 = unlimited).
   std::int64_t cache_bytes = 256ll * 1024 * 1024;
   /// Server-wide user_cap applied when a request does not set one
   /// (0 = unlimited).
   std::int64_t default_user_cap = 0;
 };
+
+/// ProblemSpec → FormationProblem over `instance`, via the shared token
+/// mappings in grouprec/semantics.h. The problem reads whichever backend
+/// is loaded (dense, compact, or mmap) through the
+/// FormationProblem::Store() seam the solvers use; it holds raw pointers,
+/// so `instance` must outlive it. INVALID_ARGUMENT for an unknown token
+/// or a problem that fails FormationProblem::Validate.
+common::StatusOr<core::FormationProblem> BuildProblem(
+    const ProblemSpec& spec, const LoadedInstance& instance);
 
 /// One serving context: an instance cache plus the execution policy.
 /// Thread-safe — the server runs many Execute calls concurrently as

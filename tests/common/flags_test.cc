@@ -17,16 +17,16 @@ FlagParser ParseOk(std::initializer_list<const char*> args) {
 
 TEST(FlagParser, EqualsAndSpaceSyntax) {
   const auto flags = ParseOk({"--k=5", "--groups", "10", "--name=abc"});
-  EXPECT_EQ(flags.GetInt("k", 0), 5);
-  EXPECT_EQ(flags.GetInt("groups", 0), 10);
+  EXPECT_EQ(*flags.GetIntInRange("k", 0, 0, 100), 5);
+  EXPECT_EQ(*flags.GetIntInRange("groups", 0, 0, 100), 10);
   EXPECT_EQ(flags.GetString("name", ""), "abc");
 }
 
 TEST(FlagParser, BareFlagIsBooleanTrue) {
   const auto flags = ParseOk({"--verbose", "--k=2"});
-  EXPECT_TRUE(flags.GetBool("verbose", false));
-  EXPECT_FALSE(flags.GetBool("quiet", false));
-  EXPECT_TRUE(flags.GetBool("quiet", true));
+  EXPECT_TRUE(*flags.GetCheckedBool("verbose", false));
+  EXPECT_FALSE(*flags.GetCheckedBool("quiet", false));
+  EXPECT_TRUE(*flags.GetCheckedBool("quiet", true));
 }
 
 TEST(FlagParser, PositionalsAndDoubleDashSeparator) {
@@ -36,13 +36,34 @@ TEST(FlagParser, PositionalsAndDoubleDashSeparator) {
   EXPECT_EQ(flags.positional()[1], "--not-a-flag");
 }
 
-TEST(FlagParser, TypedGettersValidate) {
-  const auto flags = ParseOk({"--k=abc", "--rate=1.5"});
-  EXPECT_FALSE(flags.GetIntOr("k").ok());
-  EXPECT_EQ(flags.GetInt("k", 7), 7);  // fallback on malformed
-  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 1.5);
-  EXPECT_EQ(flags.GetIntOr("missing").status().code(),
-            StatusCode::kNotFound);
+/// A malformed value is INVALID_ARGUMENT whose message names the flag,
+/// so a tool can print it as is — never a silent fallback.
+void ExpectRefused(const Status& status, const std::string& name) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+  EXPECT_NE(status.message().find("--" + name), std::string::npos)
+      << status.message();
+}
+
+TEST(FlagParser, MalformedValuesAreRefused) {
+  const auto flags = ParseOk({"--k=abc", "--groups=2x", "--rate=1.5",
+                              "--sat=x", "--inf=inf", "--nan=nan",
+                              "--dump=yes", "--pipe=", "--on=1", "--off=0",
+                              "--no=false"});
+  ExpectRefused(flags.GetIntInRange("k", 7, 0, 100).status(), "k");
+  ExpectRefused(flags.GetIntInRange("groups", 10, 0, 100).status(),
+                "groups");
+  EXPECT_DOUBLE_EQ(*flags.GetFiniteDouble("rate", 0.0), 1.5);
+  EXPECT_DOUBLE_EQ(*flags.GetFiniteDouble("absent", 2.5), 2.5);
+  for (const char* name : {"sat", "inf", "nan"}) {
+    ExpectRefused(flags.GetFiniteDouble(name, 0.0).status(), name);
+  }
+  EXPECT_TRUE(*flags.GetCheckedBool("on", false));
+  EXPECT_FALSE(*flags.GetCheckedBool("off", true));
+  EXPECT_FALSE(*flags.GetCheckedBool("no", true));
+  // "yes" used to read as true and any other word as false.
+  for (const char* name : {"dump", "pipe"}) {
+    ExpectRefused(flags.GetCheckedBool(name, false).status(), name);
+  }
 }
 
 TEST(FlagParser, IntInRangeChecksPresentValues) {
@@ -71,7 +92,7 @@ TEST(FlagParser, MalformedFlagFails) {
 
 TEST(FlagParser, LastValueWins) {
   const auto flags = ParseOk({"--k=1", "--k=2"});
-  EXPECT_EQ(flags.GetInt("k", 0), 2);
+  EXPECT_EQ(*flags.GetIntInRange("k", 0, 0, 100), 2);
 }
 
 }  // namespace

@@ -282,7 +282,8 @@ TEST(SolverOptions, EveryIntegerSolverKnobIsStrict) {
       {"anytime:sa", "cooling_interval", "1", kPastInt},
       // The subset DP's tables hold 2^max_users entries (DESIGN.md §10.1).
       {"exact", "max_users", "0", "21"},
-      {"brute", "max_users", "0", kPastInt},
+      // Enumeration grows like the Bell numbers (about 7x per user).
+      {"brute", "max_users", "0", "13"},
       {"bnb", "max_users", "0", kPastInt},
       {"bnb", "max_nodes", "0", "9223372036854775808"},
       {"baseline", "max_iterations", "0", kPastInt},
@@ -313,6 +314,10 @@ TEST(SolverOptions, EveryIntegerSolverKnobIsStrict) {
   EXPECT_TRUE(registry
                   .Create("exact", problem,
                           SolverOptions().Set("max_users", "20"))
+                  .ok());
+  EXPECT_TRUE(registry
+                  .Create("brute", problem,
+                          SolverOptions().Set("max_users", "12"))
                   .ok());
 }
 

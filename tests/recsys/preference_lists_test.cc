@@ -39,30 +39,5 @@ TEST(TopKList, PaperExampleSequences) {
   EXPECT_DOUBLE_EQ(list[2].rating, 2.0);
 }
 
-TEST(PreferenceListStore, MatchesOnTheFlyLists) {
-  const auto matrix = data::PaperExample2();
-  const recsys::PreferenceListStore store(matrix, 2);
-  ASSERT_EQ(store.num_users(), matrix.num_users());
-  for (UserId u = 0; u < matrix.num_users(); ++u) {
-    const auto expected = recsys::TopKList(matrix, u, 2);
-    const auto actual = store.TopK(u);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t j = 0; j < expected.size(); ++j) {
-      EXPECT_EQ(actual[j].item, expected[j].item);
-      EXPECT_DOUBLE_EQ(actual[j].rating, expected[j].rating);
-    }
-  }
-}
-
-TEST(PreferenceListStore, HandlesUsersWithFewRatings) {
-  data::RatingMatrixBuilder builder(2, 5, data::RatingScale{1.0, 5.0});
-  ASSERT_TRUE(builder.AddRating(0, 3, 4.0).ok());
-  // user 1 rates nothing.
-  const auto matrix = std::move(builder).Build();
-  const recsys::PreferenceListStore store(matrix, 3);
-  EXPECT_EQ(store.TopK(0).size(), 1u);
-  EXPECT_TRUE(store.TopK(1).empty());
-}
-
 }  // namespace
 }  // namespace groupform

@@ -225,8 +225,10 @@ TEST_F(ServerDeterminismTest, BadIntegerKnobIsErrAndTheNextLineRuns) {
   // iterations count of 2^31 to a negative one, and sa would then run no
   // proposal and answer OK with its seed's objective. The subset DP's
   // 32-bit masks wrapped on 33 users and answered OK with one user
-  // grouped; max_users is now capped at 20. Malformed double and bool
-  // knobs used to run silently with the solver's defaults.
+  // grouped; max_users is now capped at 20. brute's max_users had no
+  // cap: max_users 40 on 16 users pinned a serving thread for minutes of
+  // Bell-number enumeration; it is now capped at 12. Malformed double and
+  // bool knobs used to run silently with the solver's defaults.
   struct BadKnob {
     const char* solver;
     const char* key;
@@ -241,6 +243,7 @@ TEST_F(ServerDeterminismTest, BadIntegerKnobIsErrAndTheNextLineRuns) {
       {"anytime:sa", "cooling_interval", "4294967296"},
       {"sa", "iterations", "2147483648"},
       {"exact", "max_users", "40", 33, 6},
+      {"brute", "max_users", "40", 16, 6},
       {"sa", "cooling", "zebra"},
       {"localsearch", "init_with_greedy", "nope"},
   };

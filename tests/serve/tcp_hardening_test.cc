@@ -1,9 +1,7 @@
 // Transport hardening for the TCP front-end: a torn connection (recv
 // error, not clean EOF) must never execute its half-received tail; a
 // client that disconnects mid-stream must stop consuming solver work;
-// an oversize line split across many recvs answers exactly one ERR; and
-// SendRequestLines reports a short response stream as DataLoss instead
-// of mispairing responses.
+// and an oversize line split across many recvs answers exactly one ERR.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -256,38 +254,6 @@ TEST_F(TcpHardeningTest, OversizeLineAcrossManyRecvsAnswersOneErr) {
   server.Shutdown();
   serving.join();
   EXPECT_EQ(session.cache().stats().misses, 0);
-}
-
-// SendRequestLines satellite: the server ignores empty lines, so a batch
-// with interleaved blanks comes back short — the client must surface
-// that as DataLoss rather than silently pairing responses with the
-// wrong requests.
-TEST_F(TcpHardeningTest, SendRequestLinesReportsShortStreamsAsDataLoss) {
-  common::ThreadPool::SetDefaultThreadCount(1);
-  Session session;
-  ServerConfig config;
-  config.port = 0;
-  TcpServer server(session, config);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] {
-    const auto serve_status = server.Serve();
-    EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
-  });
-
-  // Control: an all-request batch round-trips.
-  const auto full = SendRequestLines("127.0.0.1", server.port(),
-                                     {SeededRequest("ok-0", 3)});
-  ASSERT_TRUE(full.ok()) << full.status();
-  ASSERT_EQ(full->size(), 1u);
-
-  // Three lines in, one response out (the blanks are ignored).
-  const auto short_stream = SendRequestLines(
-      "127.0.0.1", server.port(), {"", SeededRequest("ok-1", 3), ""});
-  ASSERT_FALSE(short_stream.ok());
-  EXPECT_EQ(short_stream.status().code(), common::StatusCode::kDataLoss);
-
-  server.Shutdown();
-  serving.join();
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -137,7 +138,7 @@ TEST_F(TcpServerTest, RpcStyleClientGetsEachResponseWhileConnected) {
   EXPECT_EQ(session.cache().stats().hits, 2);
 }
 
-TEST_F(TcpServerTest, SendRequestLinesRoundTripsABatch) {
+TEST_F(TcpServerTest, PipelinedJsonClientRoundTripsABatch) {
   common::ThreadPool::SetDefaultThreadCount(2);
   Session session;
   ServerConfig config;
@@ -146,17 +147,22 @@ TEST_F(TcpServerTest, SendRequestLinesRoundTripsABatch) {
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { EXPECT_TRUE(server.Serve().ok()); });
 
-  const auto responses = SendRequestLines(
-      "127.0.0.1", server.port(),
-      {SmallRequest("b0"), SmallRequest("b1"), SmallRequest("b2")});
-  ASSERT_TRUE(responses.ok()) << responses.status();
-  ASSERT_EQ(responses->size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    const auto response =
-        ParseResponseLine((*responses)[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(response.ok()) << response.status();
-    // Responses arrive in request order.
-    EXPECT_EQ(response->id, common::StrFormat("b%d", i));
+  {
+    // Closed before Shutdown(), which drains open connections.
+    auto client = WireClient::Connect("127.0.0.1", server.port(),
+                                      WireClient::Wire::kJson);
+    ASSERT_TRUE(client.ok()) << client.status();
+    const auto responses = client->CallPipelined(
+        {SmallRequest("b0"), SmallRequest("b1"), SmallRequest("b2")});
+    ASSERT_TRUE(responses.ok()) << responses.status();
+    ASSERT_EQ(responses->size(), 3u);
+    for (int i = 0; i < 3; ++i) {
+      const auto response =
+          ParseResponseLine((*responses)[static_cast<std::size_t>(i)]);
+      ASSERT_TRUE(response.ok()) << response.status();
+      // Responses arrive in request order.
+      EXPECT_EQ(response->id, common::StrFormat("b%d", i));
+    }
   }
 
   server.Shutdown();

@@ -116,8 +116,8 @@ class WireEquivalenceTest : public ::testing::Test {
     common::ThreadPool::SetDefaultThreadCount(0);
   }
 
-  /// One full sweep at a fixed pool size: golden responses from the
-  /// one-shot reference client, then every wire × call-shape combination
+  /// One full sweep at a fixed pool size: golden responses from strict
+  /// JSON round trips, then every wire × call-shape combination
   /// against one kAuto server per credit window.
   void RunAtThreads(int threads) {
     common::ThreadPool::SetDefaultThreadCount(threads);
@@ -135,12 +135,19 @@ class WireEquivalenceTest : public ::testing::Test {
     const auto serve_status = server.Serve();
     EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
   });
-      const auto golden_or =
-          SendRequestLines("127.0.0.1", server.port(), lines);
+      {
+        // Closed before Shutdown(), which drains open connections.
+        auto client_or = WireClient::Connect("127.0.0.1", server.port(),
+                                             WireClient::Wire::kJson);
+        ASSERT_TRUE(client_or.ok()) << client_or.status();
+        for (const std::string& line : lines) {
+          const auto response = client_or->Call(line);
+          ASSERT_TRUE(response.ok()) << response.status();
+          golden.push_back(*response);
+        }
+      }
       server.Shutdown();
       serving.join();
-      ASSERT_TRUE(golden_or.ok()) << golden_or.status();
-      golden = *golden_or;
     }
     CheckGoldenVariety(golden);
 

@@ -3,10 +3,13 @@
 
 usage: cli_smoke_test.py GROUPFORM_CLI GROUPFORM_SERVERD RATINGS_CSV
 
-For every invocation below, the local run's summary (objective, group
-sizes and the four response metrics, at the CLI's print precision) must
-equal the same flags sent as `groupform_cli request --dump` through
-`groupform_serverd --pipe`. Reports every case; exits 1 if any failed.
+For every invocation in the first list, the local run's summary
+(objective, group sizes and the four response metrics, at the CLI's print
+precision) must equal the same flags sent as `groupform_cli request
+--dump` through `groupform_serverd --pipe`. Every invocation in the
+second list must fail with the given exit code and name the given text:
+the local run refuses what serving refuses, and a malformed flag value
+names its flag. Reports every case; exits 1 if any failed.
 """
 import json
 import math
@@ -18,6 +21,16 @@ SYNTHETIC = ["--synthetic", "yahoo", "--users", "90", "--items", "60",
              "--k", "3", "--groups", "10"]
 SETTINGS = [["--semantics", "lm", "--aggregation", "min"],
             ["--semantics", "av", "--aggregation", "sum"]]
+
+# (flags, exit code, text the error must contain)
+REFUSALS = [
+    (SYNTHETIC + ["--min-group-size", "6", "--algorithm", "greedy"], 1,
+     "use capgreedy"),
+    (SYNTHETIC[:-1] + ["2x"], 2, "--groups"),
+    (SYNTHETIC + ["--k", "abc"], 2, "--k"),
+    (SYNTHETIC + ["--min-user-sat", "x", "--algorithm", "fairgreedy"], 2,
+     "--min-user-sat"),
+]
 
 SUMMARY_LINES = {
     "objective": r"^  objective:\s+(\S+)$",
@@ -101,6 +114,14 @@ def main():
         except AssertionError as error:
             failures += 1
             print("FAIL", " ".join(flags), "\n ", error)
+    for flags, code, text in REFUSALS:
+        result = run([cli] + flags)
+        if result.returncode == code and text in result.stderr:
+            print("ok  ", " ".join(flags), f"(exit {code})")
+        else:
+            failures += 1
+            print("FAIL", " ".join(flags), f"\n  exit {result.returncode},"
+                  f" wanted {code} naming {text!r}:\n{result.stderr}")
     return 1 if failures else 0
 
 

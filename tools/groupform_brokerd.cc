@@ -30,13 +30,12 @@
 //                       call                                (1)
 //   --backoff-ms N      pause before each re-attempt        (50)
 //   --pipe              serve stdin→stdout instead of TCP
-//   --port N            TCP port, 0 = ephemeral  (GF_SERVE_PORT, 4018)
+//   --port N            TCP port, 0 = ephemeral             (4018)
 //   --port-file PATH    write the bound TCP port to PATH
-//   --max-inflight N    pipelining and credit window
-//                                            (GF_SERVE_MAX_INFLIGHT)
+//   --max-inflight N    pipelining and credit window        (4)
 //   --threads N         requests the broker forwards at once (GF_THREADS)
 //
-// A malformed or out-of-range numeric flag exits 2 and names the flag.
+// A malformed or out-of-range flag value exits 2 and names the flag.
 //
 // SIGINT/SIGTERM stop the listener, drain in-flight requests, and tear
 // the worker fleet down (SIGTERM + waitpid).
@@ -69,33 +68,13 @@ int RealMain(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 2;
   }
-  if (flags.GetBool("help", false)) {
-    std::printf(
-        "groupform_brokerd — broker fronting a groupform_serverd fleet\n"
-        "(same wire protocol as a single server, docs/PROTOCOL.md)\n\n"
-        "  --workers N         worker processes (default 2)\n"
-        "  --mode M            affinity (the only routing mode)\n"
-        "  --serverd PATH      worker binary (default: sibling)\n"
-        "  --worker-threads N  requests each worker solves at once "
-        "(0 = worker default)\n"
-        "  --worker-cache-mb N per-worker cache budget (-1 = default)\n"
-        "  --retries N         re-attempts per failed worker call (1)\n"
-        "  --backoff-ms N      pause before each re-attempt (50)\n"
-        "  --pipe              stdin/stdout mode (exit at EOF)\n"
-        "  --port N            TCP port, 0 = ephemeral (GF_SERVE_PORT)\n"
-        "  --port-file PATH    write the bound TCP port to PATH\n"
-        "  --max-inflight N    pipelining and credit window "
-        "(GF_SERVE_MAX_INFLIGHT)\n"
-        "  --threads N         requests forwarded at once (GF_THREADS)\n");
-    return 0;
-  }
-  // A malformed or out-of-range numeric flag is a startup error, not a
-  // silent fallback to the default.
+  const auto help = flags.GetCheckedBool("help", false);
+  const auto pipe = flags.GetCheckedBool("pipe", false);
+  // A malformed or out-of-range value is a startup error, not a silent
+  // fallback to the default.
   constexpr long long kIntMax = std::numeric_limits<int>::max();
-  serve::ServerConfig server_config = serve::ServerConfigFromEnv();
-  if (!flags.Has("port") && server_config.port == 4017) {
-    server_config.port = 4018;  // default one above the worker daemon's
-  }
+  serve::ServerConfig server_config;
+  server_config.port = 4018;  // one above the worker daemon's default
   const auto threads = flags.GetIntInRange("threads", 0, 1, kIntMax);
   const auto workers = flags.GetIntInRange("workers", 2, 1, 256);
   const auto worker_threads =
@@ -111,13 +90,33 @@ int RealMain(int argc, char** argv) {
       flags.GetIntInRange("port", server_config.port, 0, 65535);
   const auto max_inflight = flags.GetIntInRange(
       "max-inflight", server_config.max_inflight, 1, 1 << 20);
-  for (const auto* value :
-       {&threads, &workers, &worker_threads, &worker_cache_mb, &retries,
-        &backoff_ms, &port, &max_inflight}) {
-    if (!value->ok()) {
-      std::fprintf(stderr, "%s\n", value->status().message().c_str());
+  for (const common::Status& status :
+       {help.status(), pipe.status(), threads.status(), workers.status(),
+        worker_threads.status(), worker_cache_mb.status(), retries.status(),
+        backoff_ms.status(), port.status(), max_inflight.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.message().c_str());
       return 2;
     }
+  }
+  if (*help) {
+    std::printf(
+        "groupform_brokerd — broker fronting a groupform_serverd fleet\n"
+        "(same wire protocol as a single server, docs/PROTOCOL.md)\n\n"
+        "  --workers N         worker processes (default 2)\n"
+        "  --mode M            affinity (the only routing mode)\n"
+        "  --serverd PATH      worker binary (default: sibling)\n"
+        "  --worker-threads N  requests each worker solves at once "
+        "(0 = worker default)\n"
+        "  --worker-cache-mb N per-worker cache budget (-1 = default)\n"
+        "  --retries N         re-attempts per failed worker call (1)\n"
+        "  --backoff-ms N      pause before each re-attempt (50)\n"
+        "  --pipe              stdin/stdout mode (exit at EOF)\n"
+        "  --port N            TCP port, 0 = ephemeral (default 4018)\n"
+        "  --port-file PATH    write the bound TCP port to PATH\n"
+        "  --max-inflight N    pipelining and credit window (default 4)\n"
+        "  --threads N         requests forwarded at once (GF_THREADS)\n");
+    return 0;
   }
   if (*threads > 0) {
     common::ThreadPool::SetDefaultThreadCount(static_cast<int>(*threads));
@@ -167,7 +166,7 @@ int RealMain(int argc, char** argv) {
                                 serve::WireClient::Wire::kJson);
   fleet::BrokerSession broker(broker_config, transport);
 
-  if (flags.GetBool("pipe", false)) {
+  if (*pipe) {
     const long long served = serve::ServePipe(
         broker, std::cin, std::cout, server_config.max_inflight);
     std::fprintf(stderr, "groupform_brokerd: served %lld requests\n",

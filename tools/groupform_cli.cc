@@ -8,6 +8,12 @@
 //   groupform_cli request --port 4017 --algorithm greedy
 //       --synthetic yahoo --users 200 --items 100
 //
+// Without a subcommand the CLI runs locally: it builds the request that
+// `request --dump` would print and executes it in process through
+// serve::Session, the path groupform_serverd serves, so a local run
+// answers — and refuses — exactly what the server would. The request
+// flags --deadline-ms and --user-cap apply to local runs too.
+//
 // Subcommands:
 //   sweep [SUITE|all]   run the paper's evaluation sweeps (the same
 //                       eval::SweepSpecs the bench binaries execute);
@@ -20,7 +26,7 @@
 //                       response line. The request is assembled from the
 //                       data/problem/--algorithm flags below, or passed
 //                       verbatim with --raw 'JSON'.
-//       --host H --port P   server address (default 127.0.0.1, GF_SERVE_PORT)
+//       --host H --port P   server address (default 127.0.0.1:4017)
 //                           spoken over newline-JSON, the canonical wire
 //       --batch N           send N copies as one groupform.batch/1
 //                           envelope; prints one response line per element
@@ -52,10 +58,10 @@
 // Flags:
 //   --input PATH        user,item,rating CSV (ids re-indexed densely)
 //   --movielens PATH    MovieLens ratings.dat ("user::item::rating::ts")
-//   --gfcm PATH         (request/delta only) server-side GFCM file; the
-//                       server maps it zero-copy (--backend mmap, default)
-//   --backend NAME      (request/delta only) instance storage backend:
-//                       dense | compact | mmap (docs/PROTOCOL.md)
+//   --gfcm PATH         GFCM file (server-side for request/delta), mapped
+//                       zero-copy (--backend mmap, default)
+//   --backend NAME      instance storage backend: dense | compact | mmap
+//                       (docs/PROTOCOL.md); dataset stats print for dense
 //   --qbits 8|16        compact quantization width (with --backend compact
 //                       or the pack subcommand)
 //   --synthetic NAME    yahoo | movielens (shape via --users / --items)
@@ -81,62 +87,60 @@
 //   --candidate-depth D residual candidate truncation (0 = full catalogue)
 //   --output PATH       write "group,user" CSV of the partition
 //   --emit-lp PATH      also write the Appendix-A IP in LP format
+//   --deadline-ms N     wall-clock budget (0 = none); DNF on expiry
+//   --user-cap N        DNF cap on instance size (0 = unlimited)
+//
+// A malformed flag value (an integer, number or bool that does not parse,
+// or one out of range) exits 2 and names the flag. A local run that the
+// server would refuse — say, a constraint flag with a solver that does
+// not enforce it — exits 1 with the server's message.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/csv.h"
 #include "common/flags.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/delta.h"
-#include "core/formation.h"
 #include "core/solver_registry.h"
 #include "data/binary_io.h"
 #include "data/compact_matrix.h"
 #include "data/dataset_stats.h"
-#include "data/loaders.h"
-#include "data/synthetic.h"
-#include "eval/metrics.h"
 #include "eval/paper_sweeps.h"
 #include "eval/sweep.h"
 #include "exact/ip_model.h"
-#include "grouprec/semantics.h"
 #include "serve/client.h"
+#include "serve/instance_cache.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/session.h"
 #include "solvers/builtin.h"
 
 namespace {
 
 using namespace groupform;
 
-common::StatusOr<data::RatingMatrix> LoadData(
-    const common::FlagParser& flags) {
-  if (flags.Has("input")) {
-    data::LoaderOptions options;
-    return data::LoadTripletFile(flags.GetString("input", ""), options);
-  }
-  if (flags.Has("movielens")) {
-    return data::LoadMovieLens(flags.GetString("movielens", ""));
-  }
-  const std::string kind = flags.GetString("synthetic", "yahoo");
-  const auto users = static_cast<std::int32_t>(flags.GetInt("users", 1000));
-  const auto items = static_cast<std::int32_t>(flags.GetInt("items", 500));
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  if (kind == "yahoo") {
-    return data::GenerateLatentFactor(
-        data::YahooMusicLikeConfig(users, items, seed));
-  }
-  if (kind == "movielens") {
-    return data::GenerateLatentFactor(
-        data::MovieLensLikeConfig(users, items, seed));
-  }
-  return common::Status::InvalidArgument("unknown --synthetic: " + kind);
+/// Reads an integer flag into `*field` the way SolverOptions reads a
+/// knob: an absent flag keeps `*field`; a present one must be an integer
+/// in [min_value, the field type's maximum], so the cast cannot wrap.
+/// The request parser then applies the field's own range.
+template <typename Int>
+common::Status ReadIntFlag(const common::FlagParser& flags, const char* name,
+                           long long min_value, Int* field) {
+  constexpr auto kMax = std::min<unsigned long long>(
+      std::numeric_limits<Int>::max(),
+      std::numeric_limits<long long>::max());
+  GF_ASSIGN_OR_RETURN(
+      const long long value,
+      flags.GetIntInRange(name, static_cast<long long>(*field), min_value,
+                          static_cast<long long>(kMax)));
+  *field = static_cast<Int>(value);
+  return common::Status::Ok();
 }
 
 /// Parses a "--must-link/--cannot-link A:B,C:D" pair list.
@@ -162,49 +166,24 @@ common::StatusOr<std::vector<std::pair<UserId, UserId>>> ParsePairFlag(
   return pairs;
 }
 
-/// The formation-constraint flags (DESIGN.md §17), shared by the local
-/// run path and the request/delta subcommands. An untouched flag set
-/// yields the empty spec, so unconstrained invocations are unchanged.
+/// The formation-constraint flags (DESIGN.md §17). An untouched flag
+/// set yields the empty spec, so unconstrained invocations are unchanged.
 common::StatusOr<core::ConstraintSpec> BuildConstraints(
     const common::FlagParser& flags) {
   core::ConstraintSpec spec;
-  spec.min_group_size =
-      static_cast<int>(flags.GetInt("min-group-size", spec.min_group_size));
-  spec.max_group_size =
-      static_cast<int>(flags.GetInt("max-group-size", spec.max_group_size));
+  GF_RETURN_IF_ERROR(
+      ReadIntFlag(flags, "min-group-size", 0, &spec.min_group_size));
+  GF_RETURN_IF_ERROR(
+      ReadIntFlag(flags, "max-group-size", 0, &spec.max_group_size));
   GF_ASSIGN_OR_RETURN(spec.must_link, ParsePairFlag(flags, "must-link"));
   GF_ASSIGN_OR_RETURN(spec.cannot_link, ParsePairFlag(flags, "cannot-link"));
   if (flags.Has("min-user-sat")) {
     spec.has_min_user_sat = true;
-    spec.min_user_sat = flags.GetDouble("min-user-sat", 0.0);
+    GF_ASSIGN_OR_RETURN(spec.min_user_sat,
+                        flags.GetFiniteDouble("min-user-sat", 0.0));
   }
   GF_RETURN_IF_ERROR(spec.ValidateStructure());
   return spec;
-}
-
-common::StatusOr<core::FormationProblem> BuildProblem(
-    const common::FlagParser& flags, const data::RatingMatrix& matrix) {
-  core::FormationProblem problem;
-  problem.matrix = &matrix;
-  // Token → enum mappings are shared with the wire protocol
-  // (grouprec/semantics.h), so the CLI and the server accept exactly the
-  // same vocabulary.
-  GF_ASSIGN_OR_RETURN(problem.semantics,
-                      grouprec::SemanticsFromToken(
-                          flags.GetString("semantics", "lm")));
-  GF_ASSIGN_OR_RETURN(problem.aggregation,
-                      grouprec::AggregationFromToken(
-                          flags.GetString("aggregation", "min")));
-  GF_ASSIGN_OR_RETURN(problem.missing,
-                      grouprec::MissingPolicyFromToken(
-                          flags.GetString("missing", "rmin")));
-  problem.k = static_cast<int>(flags.GetInt("k", 5));
-  problem.max_groups = static_cast<int>(flags.GetInt("groups", 10));
-  problem.candidate_depth =
-      static_cast<int>(flags.GetInt("candidate-depth", 0));
-  GF_ASSIGN_OR_RETURN(problem.constraints, BuildConstraints(flags));
-  GF_RETURN_IF_ERROR(problem.Validate());
-  return problem;
 }
 
 /// Parses "--solver-opt k1=v1,k2=v2" into a SolverOptions bag.
@@ -221,22 +200,6 @@ core::SolverOptions ParseSolverOptions(const common::FlagParser& flags) {
     }
   }
   return options;
-}
-
-/// The single algorithm dispatch: every registered solver is reachable,
-/// with no per-algorithm code here. New solvers appear automatically once
-/// they register (see solvers/builtin.cc).
-common::StatusOr<core::FormationResult> RunChosen(
-    const common::FlagParser& flags,
-    const core::FormationProblem& problem) {
-  const std::string algorithm = flags.GetString("algorithm", "greedy");
-  GF_ASSIGN_OR_RETURN(const auto solver,
-                      core::SolverRegistry::Global().Create(
-                          algorithm, problem, ParseSolverOptions(flags)));
-  // --algo-seed is deliberately separate from --seed (synthetic data
-  // shape): the dataset and the solver trajectory vary independently.
-  return solver->Solve(static_cast<std::uint64_t>(
-      flags.GetInt("algo-seed", core::FormationSolver::kDefaultSeed)));
 }
 
 /// The `sweep` subcommand: run the shared paper sweep suites
@@ -282,9 +245,9 @@ int RunSweepCommand(const common::FlagParser& flags) {
   return eval::RunPaperSuiteMain(choice);
 }
 
-/// Assembles a protocol request from the CLI's existing data/problem
-/// flags, so the same invocation vocabulary drives both the in-process
-/// path and a remote groupform_serverd.
+/// Assembles a protocol request from the CLI's data/problem flags: the
+/// request a local run executes in process and `request` sends to a
+/// remote groupform_serverd. Every numeric or bool flag is read strictly.
 common::StatusOr<serve::Request> BuildRequest(
     const common::FlagParser& flags) {
   serve::Request request;
@@ -303,32 +266,38 @@ common::StatusOr<serve::Request> BuildRequest(
   } else {
     request.instance.kind = "synthetic";
     request.instance.preset = flags.GetString("synthetic", "yahoo");
-    request.instance.users =
-        static_cast<std::int32_t>(flags.GetInt("users", 1000));
-    request.instance.items =
-        static_cast<std::int32_t>(flags.GetInt("items", 500));
-    request.instance.seed =
-        static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+    request.instance.users = 1000;
+    request.instance.items = 500;
+    GF_RETURN_IF_ERROR(
+        ReadIntFlag(flags, "users", 1, &request.instance.users));
+    GF_RETURN_IF_ERROR(
+        ReadIntFlag(flags, "items", 1, &request.instance.items));
+    GF_RETURN_IF_ERROR(
+        ReadIntFlag(flags, "seed", 0, &request.instance.seed));
   }
   // Per-kind backend default mirrors the wire protocol: gfcm files map
   // zero-copy unless the client opts out, everything else stays dense.
   request.instance.backend = flags.GetString(
       "backend", request.instance.kind == "gfcm" ? "mmap" : "dense");
-  request.instance.qbits = static_cast<int>(flags.GetInt("qbits", 8));
+  GF_RETURN_IF_ERROR(
+      ReadIntFlag(flags, "qbits", 8, &request.instance.qbits));
   request.problem.semantics = flags.GetString("semantics", "lm");
   request.problem.aggregation = flags.GetString("aggregation", "min");
   request.problem.missing = flags.GetString("missing", "rmin");
-  request.problem.k = static_cast<int>(flags.GetInt("k", 5));
-  request.problem.groups = static_cast<int>(flags.GetInt("groups", 10));
-  request.problem.candidate_depth =
-      static_cast<int>(flags.GetInt("candidate-depth", 0));
+  GF_RETURN_IF_ERROR(ReadIntFlag(flags, "k", 1, &request.problem.k));
+  GF_RETURN_IF_ERROR(
+      ReadIntFlag(flags, "groups", 1, &request.problem.groups));
+  GF_RETURN_IF_ERROR(ReadIntFlag(flags, "candidate-depth", 0,
+                                 &request.problem.candidate_depth));
   GF_ASSIGN_OR_RETURN(request.problem.constraints, BuildConstraints(flags));
-  request.seed = static_cast<std::uint64_t>(
-      flags.GetInt("algo-seed", core::FormationSolver::kDefaultSeed));
-  request.deadline_ms = flags.GetInt("deadline-ms", 0);
-  request.user_cap = flags.GetInt("user-cap", 0);
-  request.include_groups = flags.GetBool("include-groups", false);
-  request.record_seconds = flags.GetBool("record-seconds", false);
+  GF_RETURN_IF_ERROR(ReadIntFlag(flags, "algo-seed", 0, &request.seed));
+  GF_RETURN_IF_ERROR(
+      ReadIntFlag(flags, "deadline-ms", 0, &request.deadline_ms));
+  GF_RETURN_IF_ERROR(ReadIntFlag(flags, "user-cap", 0, &request.user_cap));
+  GF_ASSIGN_OR_RETURN(request.include_groups,
+                      flags.GetCheckedBool("include-groups", false));
+  GF_ASSIGN_OR_RETURN(request.record_seconds,
+                      flags.GetCheckedBool("record-seconds", false));
   // Round-trip through the parser so every flag value gets the same
   // validation a remote client's JSON would.
   return serve::ParseRequestLine(serve::RenderRequest(request));
@@ -342,20 +311,23 @@ common::StatusOr<serve::Request> BuildRequest(
 /// omission), 1 for any ERR or transport failure.
 int DumpOrSendLine(const common::FlagParser& flags,
                    const std::string& line) {
-  const long long batch = flags.GetInt("batch", 1);
-  if (batch < 1 || batch > serve::kMaxBatchRequests) {
-    std::fprintf(stderr, "--batch must be in [1, %d], got %lld\n",
-                 serve::kMaxBatchRequests, batch);
-    return 2;
+  const auto batch =
+      flags.GetIntInRange("batch", 1, 1, serve::kMaxBatchRequests);
+  const auto repeat = flags.GetIntInRange("repeat", 1, 1, 1000000);
+  const auto port =
+      flags.GetIntInRange("port", serve::ServerConfig{}.port, 1, 65535);
+  const auto dump = flags.GetCheckedBool("dump", false);
+  const auto keep_alive = flags.GetCheckedBool("keep-alive", false);
+  for (const common::Status& status :
+       {batch.status(), repeat.status(), port.status(), dump.status(),
+        keep_alive.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.message().c_str());
+      return 2;
+    }
   }
-  const long long repeat = flags.GetInt("repeat", 1);
-  if (repeat < 1 || repeat > 1000000) {
-    std::fprintf(stderr, "--repeat must be in [1, 1000000], got %lld\n",
-                 repeat);
-    return 2;
-  }
-  if (flags.GetBool("dump", false)) {
-    if (batch == 1) {
+  if (*dump) {
+    if (*batch == 1) {
       std::printf("%s\n", line.c_str());
       return 0;
     }
@@ -366,14 +338,12 @@ int DumpOrSendLine(const common::FlagParser& flags,
       return 2;
     }
     serve::BatchRequest envelope;
-    envelope.requests.assign(static_cast<std::size_t>(batch), *request);
+    envelope.requests.assign(static_cast<std::size_t>(*batch), *request);
     std::printf("%s\n", serve::RenderBatchRequest(envelope).c_str());
     return 0;
   }
   const std::string host = flags.GetString("host", "127.0.0.1");
-  const int port = static_cast<int>(
-      flags.GetInt("port", serve::ServerConfigFromEnv().port));
-  auto client = serve::WireClient::Connect(host, port,
+  auto client = serve::WireClient::Connect(host, static_cast<int>(*port),
                                           serve::WireClient::Wire::kJson);
   if (!client.ok()) {
     std::fprintf(stderr, "request: %s\n",
@@ -385,10 +355,10 @@ int DumpOrSendLine(const common::FlagParser& flags,
   // far as the server's window allows); without it every send is a
   // strict round trip, still on the same socket.
   std::vector<std::string> responses;
-  if (batch == 1) {
-    if (repeat > 1 && flags.GetBool("keep-alive", false)) {
+  if (*batch == 1) {
+    if (*repeat > 1 && *keep_alive) {
       auto pipelined = client->CallPipelined(
-          std::vector<std::string>(static_cast<std::size_t>(repeat), line));
+          std::vector<std::string>(static_cast<std::size_t>(*repeat), line));
       if (!pipelined.ok()) {
         std::fprintf(stderr, "request: %s\n",
                      pipelined.status().ToString().c_str());
@@ -396,7 +366,7 @@ int DumpOrSendLine(const common::FlagParser& flags,
       }
       responses = *std::move(pipelined);
     } else {
-      for (long long i = 0; i < repeat; ++i) {
+      for (long long i = 0; i < *repeat; ++i) {
         auto response = client->Call(line);
         if (!response.ok()) {
           std::fprintf(stderr, "request: %s\n",
@@ -407,9 +377,9 @@ int DumpOrSendLine(const common::FlagParser& flags,
       }
     }
   } else {
-    for (long long i = 0; i < repeat; ++i) {
+    for (long long i = 0; i < *repeat; ++i) {
       auto unpacked = client->CallBatch(
-          std::vector<std::string>(static_cast<std::size_t>(batch), line));
+          std::vector<std::string>(static_cast<std::size_t>(*batch), line));
       if (!unpacked.ok()) {
         std::fprintf(stderr, "request: %s\n",
                      unpacked.status().ToString().c_str());
@@ -540,12 +510,20 @@ int RunPackCommand(const common::FlagParser& flags) {
     std::fprintf(stderr, "pack: --output PATH is required\n");
     return 2;
   }
-  const int qbits = static_cast<int>(flags.GetInt("qbits", 8));
-  if (qbits != 8 && qbits != 16) {
-    std::fprintf(stderr, "pack: --qbits must be 8 or 16, got %d\n", qbits);
+  const auto qbits_flag = flags.GetIntInRange("qbits", 8, 8, 16);
+  if (!qbits_flag.ok() || (*qbits_flag != 8 && *qbits_flag != 16)) {
+    std::fprintf(stderr, "pack: --qbits must be 8 or 16, got %s\n",
+                 flags.GetString("qbits", "").c_str());
     return 2;
   }
-  const auto matrix = LoadData(flags);
+  const int qbits = static_cast<int>(*qbits_flag);
+  const auto request = BuildRequest(flags);
+  if (!request.ok()) {
+    std::fprintf(stderr, "building request: %s\n",
+                 request.status().ToString().c_str());
+    return 2;
+  }
+  const auto matrix = serve::BuildInstance(request->instance);
   if (!matrix.ok()) {
     std::fprintf(stderr, "loading data: %s\n",
                  matrix.status().ToString().c_str());
@@ -594,9 +572,8 @@ void PrintHelp() {
       "\n\n"
       "data:      --input ratings.csv | --movielens ratings.dat |\n"
       "           --synthetic yahoo|movielens --users N --items M --seed S\n"
-      "           --gfcm file.gfcm (request/delta; server-side path)\n"
-      "backend:   --backend dense|compact|mmap --qbits 8|16 "
-      "(request/delta)\n"
+      "           --gfcm file.gfcm (server-side path for request/delta)\n"
+      "backend:   --backend dense|compact|mmap --qbits 8|16\n"
       "problem:   --semantics lm|av --aggregation max|min|sum --k N\n"
       "           --groups N --missing rmin|zero|skip --candidate-depth D\n"
       "constraints: --min-group-size N --max-group-size N\n"
@@ -606,6 +583,7 @@ void PrintHelp() {
       "execution: --threads N (default GF_THREADS env, else hardware)\n"
       "           --algo-seed S               solver seed (default 99)\n"
       "           --solver-opt k=v[,k=v...]   solver-specific overrides\n"
+      "           --deadline-ms N --user-cap N  DNF budgets (0 = none)\n"
       "output:    --output groups.csv --emit-lp model.lp\n\n"
       "--algorithm (from the solver registry):\n");
   const auto& registry = core::SolverRegistry::Global();
@@ -616,54 +594,36 @@ void PrintHelp() {
   }
 }
 
-int RealMain(int argc, char** argv) {
-  solvers::EnsureBuiltinSolversRegistered();
-  common::FlagParser flags;
-  if (const auto status = flags.Parse(argc, argv); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+/// The local run: the request `request --dump` would print, executed in
+/// process through serve::Session — the serving path, with its
+/// refusals — and summarised from the response.
+int RunLocal(const common::FlagParser& flags) {
+  auto request = BuildRequest(flags);
+  if (!request.ok()) {
+    std::fprintf(stderr, "building request: %s\n",
+                 request.status().ToString().c_str());
     return 2;
   }
-  if (flags.GetBool("help", false)) {
-    PrintHelp();
-    return 0;
-  }
-  if (flags.Has("threads")) {
-    const auto threads = flags.GetIntOr("threads");
-    if (!threads.ok() || *threads < 1) {
-      std::fprintf(stderr, "--threads must be a positive integer, got %s\n",
-                   flags.GetString("threads", "").c_str());
-      return 2;
-    }
-    common::ThreadPool::SetDefaultThreadCount(static_cast<int>(*threads));
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "sweep") {
-    return RunSweepCommand(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "request") {
-    return RunRequestCommand(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "delta") {
-    return RunDeltaCommand(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "pack") {
-    return RunPackCommand(flags);
-  }
-
-  const auto matrix = LoadData(flags);
-  if (!matrix.ok()) {
+  request->include_groups = true;
+  request->record_seconds = true;
+  serve::Session session;
+  // Holding the entry pins it, so Execute below hits it.
+  const auto loaded = session.cache().Get(request->instance);
+  if (!loaded.ok()) {
     std::fprintf(stderr, "loading data: %s\n",
-                 matrix.status().ToString().c_str());
+                 loaded.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s", data::StatsToString(
-                        data::ComputeStats(*matrix, "input")).c_str());
-
-  const auto problem = BuildProblem(flags, *matrix);
+  if (loaded->dense != nullptr) {  // the quantized backends have no stats
+    std::printf("%s", data::StatsToString(
+                          data::ComputeStats(*loaded->dense, "input"))
+                          .c_str());
+  }
+  const auto problem = serve::BuildProblem(request->problem, *loaded);
   if (!problem.ok()) {
     std::fprintf(stderr, "%s\n", problem.status().ToString().c_str());
     return 2;
   }
-
   if (flags.Has("emit-lp")) {
     const auto status = exact::IpModel::WriteLpFile(
         *problem, flags.GetString("emit-lp", ""));
@@ -674,24 +634,24 @@ int RealMain(int argc, char** argv) {
     std::printf("wrote %s\n", flags.GetString("emit-lp", "").c_str());
   }
 
-  common::Stopwatch stopwatch;
-  const auto result = RunChosen(flags, *problem);
-  if (!result.ok()) {
+  const serve::Response response = session.Execute(*request);
+  if (response.state != eval::SweepCellState::kOk) {
     std::fprintf(stderr, "formation: %s\n",
-                 result.status().ToString().c_str());
+                 response.status.ToString().c_str());
     return 1;
   }
-  const double seconds = stopwatch.ElapsedSeconds();
-
-  std::printf("\n%s on %s\n", result->algorithm.c_str(),
+  std::printf("\n%s on %s\n", request->solver.c_str(),
               problem->ToString().c_str());
-  std::printf("  objective:              %.3f\n", result->objective);
-  std::printf("  groups formed:          %d\n", result->num_groups());
-  const auto sizes = eval::GroupSizeSummary(*result);
+  std::printf("  objective:              %.3f\n", response.objective);
+  std::printf("  groups formed:          %d\n", response.num_groups);
+  std::vector<double> group_sizes;
+  for (const auto& members : response.groups) {
+    group_sizes.push_back(static_cast<double>(members.size()));
+  }
+  const auto sizes = data::Summarize(std::move(group_sizes));
   std::printf("  group sizes:            min=%.0f median=%.0f max=%.0f\n",
               sizes.min, sizes.median, sizes.max);
-  const eval::ResponseMetrics metrics =
-      eval::ComputeResponseMetrics(*problem, *result);
+  const eval::ResponseMetrics& metrics = response.metrics;
   std::printf("  avg group satisfaction: %.3f\n",
               metrics.avg_group_satisfaction);
   std::printf("  mean user rating:       %.3f\n", metrics.mean_user_rating);
@@ -699,14 +659,14 @@ int RealMain(int argc, char** argv) {
               metrics.mean_user_ndcg);
   std::printf("  fully satisfied users:  %.1f%%\n",
               100.0 * metrics.fully_satisfied);
-  std::printf("  wall clock:             %.3f s\n", seconds);
+  std::printf("  wall clock:             %.3f s\n", response.seconds);
 
   if (flags.Has("output")) {
     common::CsvWriter writer;
     writer.AddRow({"group", "user"});
-    for (int g = 0; g < result->num_groups(); ++g) {
-      for (UserId u : result->groups[static_cast<std::size_t>(g)].members) {
-        writer.AddRow({common::StrFormat("%d", g),
+    for (std::size_t g = 0; g < response.groups.size(); ++g) {
+      for (UserId u : response.groups[g]) {
+        writer.AddRow({common::StrFormat("%zu", g),
                        common::StrFormat("%d", u)});
       }
     }
@@ -719,6 +679,38 @@ int RealMain(int argc, char** argv) {
     std::printf("wrote %s\n", flags.GetString("output", "").c_str());
   }
   return 0;
+}
+
+int RealMain(int argc, char** argv) {
+  solvers::EnsureBuiltinSolversRegistered();
+  common::FlagParser flags;
+  if (const auto status = flags.Parse(argc, argv); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 2;
+  }
+  const auto help = flags.GetCheckedBool("help", false);
+  const auto threads = flags.GetIntInRange(
+      "threads", 0, 1, std::numeric_limits<int>::max());
+  for (const common::Status& status : {help.status(), threads.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.message().c_str());
+      return 2;
+    }
+  }
+  if (*help) {
+    PrintHelp();
+    return 0;
+  }
+  if (*threads > 0) {
+    common::ThreadPool::SetDefaultThreadCount(static_cast<int>(*threads));
+  }
+  const std::string command =
+      flags.positional().empty() ? "" : flags.positional()[0];
+  if (command == "sweep") return RunSweepCommand(flags);
+  if (command == "request") return RunRequestCommand(flags);
+  if (command == "delta") return RunDeltaCommand(flags);
+  if (command == "pack") return RunPackCommand(flags);
+  return RunLocal(flags);
 }
 
 }  // namespace

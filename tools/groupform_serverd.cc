@@ -20,20 +20,19 @@
 // frames with credit-based backpressure; anything else is newline-JSON.
 // `groupform.batch/1` envelopes are accepted on both wires.
 //
-// Flags (each falls back to its environment knob, then the default):
+// Flags:
 //   --pipe              serve stdin→stdout instead of TCP
-//   --port N            TCP port, 0 = ephemeral     (GF_SERVE_PORT, 4017)
+//   --port N            TCP port, 0 = ephemeral                (4017)
 //   --max-inflight N    pipelining window per stream, also the binary
-//                       wire's credit window  (GF_SERVE_MAX_INFLIGHT, 4)
-//   --cache-mb N        instance cache budget, 0 = unlimited
-//                                               (GF_SERVE_CACHE_MB, 256)
+//                       wire's credit window                   (4)
+//   --cache-mb N        instance cache budget, 0 = unlimited   (256)
 //   --threads N         requests solved at once (GF_THREADS, else
 //                       hardware; 1 = serial)
 //   --user-cap N        server-wide DNF cap for requests that set none
 //   --port-file PATH    write the bound TCP port to PATH once listening
 //                       (how a supervisor learns an ephemeral port)
 //
-// A malformed or out-of-range numeric flag exits 2 and names the flag.
+// A malformed or out-of-range flag value exits 2 and names the flag.
 //
 // SIGINT/SIGTERM stop the TCP listener; in-flight requests drain first.
 // Diagnostics go to stderr; stdout carries only protocol traffic.
@@ -77,26 +76,12 @@ int RealMain(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 2;
   }
-  if (flags.GetBool("help", false)) {
-    std::printf(
-        "groupform_serverd — newline-delimited JSON formation service\n"
-        "(groupform.request/1 and groupform.delta/1, docs/PROTOCOL.md)\n\n"
-        "  --pipe            stdin/stdout mode (exit at EOF)\n"
-        "  --port N          TCP port, 0 = ephemeral (GF_SERVE_PORT)\n"
-        "  --max-inflight N  pipelining and credit window "
-        "(GF_SERVE_MAX_INFLIGHT)\n"
-        "  --cache-mb N      cache budget, 0 = unlimited "
-        "(GF_SERVE_CACHE_MB)\n"
-        "  --threads N       requests solved at once (GF_THREADS)\n"
-        "  --user-cap N      default DNF cap for requests that set none\n"
-        "  --port-file PATH  write the bound TCP port to PATH\n");
-    return 0;
-  }
-  // Numeric flags get the same bounds the GF_SERVE_* env path enforces;
-  // a malformed or out-of-range value is a startup error, not a silent
+  const auto help = flags.GetCheckedBool("help", false);
+  const auto pipe = flags.GetCheckedBool("pipe", false);
+  // A malformed or out-of-range value is a startup error, not a silent
   // fallback to the default.
-  serve::ServerConfig server_config = serve::ServerConfigFromEnv();
-  serve::SessionConfig session_config = serve::SessionConfigFromEnv();
+  serve::ServerConfig server_config;
+  serve::SessionConfig session_config;
   const auto threads =
       flags.GetIntInRange("threads", 0, 1, std::numeric_limits<int>::max());
   const auto port =
@@ -107,12 +92,26 @@ int RealMain(int argc, char** argv) {
       "cache-mb", session_config.cache_bytes / (1024 * 1024), 0, 1ll << 40);
   const auto user_cap = flags.GetIntInRange(
       "user-cap", 0, 0, std::numeric_limits<std::int64_t>::max());
-  for (const auto* value :
-       {&threads, &port, &max_inflight, &cache_mb, &user_cap}) {
-    if (!value->ok()) {
-      std::fprintf(stderr, "%s\n", value->status().message().c_str());
+  for (const common::Status& status :
+       {help.status(), pipe.status(), threads.status(), port.status(),
+        max_inflight.status(), cache_mb.status(), user_cap.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.message().c_str());
       return 2;
     }
+  }
+  if (*help) {
+    std::printf(
+        "groupform_serverd — newline-delimited JSON formation service\n"
+        "(groupform.request/1 and groupform.delta/1, docs/PROTOCOL.md)\n\n"
+        "  --pipe            stdin/stdout mode (exit at EOF)\n"
+        "  --port N          TCP port, 0 = ephemeral (default 4017)\n"
+        "  --max-inflight N  pipelining and credit window (default 4)\n"
+        "  --cache-mb N      cache budget, 0 = unlimited (default 256)\n"
+        "  --threads N       requests solved at once (GF_THREADS)\n"
+        "  --user-cap N      default DNF cap for requests that set none\n"
+        "  --port-file PATH  write the bound TCP port to PATH\n");
+    return 0;
   }
   if (*threads > 0) {
     common::ThreadPool::SetDefaultThreadCount(static_cast<int>(*threads));
@@ -124,7 +123,7 @@ int RealMain(int argc, char** argv) {
 
   serve::Session session(session_config);
 
-  if (flags.GetBool("pipe", false)) {
+  if (*pipe) {
     const long long served = serve::ServePipe(
         session, std::cin, std::cout, server_config.max_inflight);
     std::fprintf(stderr, "groupform_serverd: served %lld requests\n",
