@@ -59,8 +59,9 @@ class BruteForceSolver : public core::FormationSolver {
  public:
   /// The ceiling of max_users. The partition count grows like the Bell
   /// numbers, about 7x per user: through `groupform_serverd --pipe` on
-  /// one thread, a dense 6-item instance (k=2, ell=8) took 0.17 s at 10
-  /// users, 1.1 s at 11, 7.2 s at 12 and 51 s at 13.
+  /// one thread (Release build, 4-vCPU VM), a dense 6-item instance
+  /// (k=2, ell=8) took 0.17 s at 10 users, 1.1 s at 11, 7.2 s at 12 and
+  /// 51 s at 13.
   static constexpr int kMaxUsersCeiling = 12;
 
   struct Options {
