@@ -64,10 +64,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::Uniform(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;

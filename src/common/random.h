@@ -27,9 +27,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextDouble();
 
-  /// Uniform double in [lo, hi).
-  double Uniform(double lo, double hi);
-
   /// Standard normal via Box-Muller (cached pair).
   double NextGaussian();
 

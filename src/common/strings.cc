@@ -88,14 +88,4 @@ bool ParseInt64(std::string_view text, long long* out) {
   return true;
 }
 
-std::string FormatDouble(double value, int precision) {
-  std::string out = StrFormat("%.*f", precision, value);
-  if (out.find('.') != std::string::npos) {
-    std::size_t last = out.find_last_not_of('0');
-    if (out[last] == '.') --last;
-    out.erase(last + 1);
-  }
-  return out;
-}
-
 }  // namespace groupform::common

@@ -30,10 +30,6 @@ bool ParseDouble(std::string_view text, double* out);
 /// Parses a 64-bit signed integer; returns false on malformed input.
 bool ParseInt64(std::string_view text, long long* out);
 
-/// Renders a double with up to `precision` significant decimals, trimming
-/// trailing zeros ("2.50" -> "2.5", "3.00" -> "3").
-std::string FormatDouble(double value, int precision = 4);
-
 }  // namespace groupform::common
 
 #endif  // GROUPFORM_COMMON_STRINGS_H_

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace groupform::common {
 
@@ -14,14 +13,6 @@ TablePrinter::TablePrinter(std::vector<std::string> header)
 void TablePrinter::AddRow(std::vector<std::string> row) {
   GF_CHECK_EQ(row.size(), header_.size());
   rows_.push_back(std::move(row));
-}
-
-void TablePrinter::AddNumericRow(const std::vector<double>& row,
-                                 int precision) {
-  std::vector<std::string> fields;
-  fields.reserve(row.size());
-  for (double v : row) fields.push_back(StrFormat("%.*f", precision, v));
-  AddRow(std::move(fields));
 }
 
 std::string TablePrinter::ToString() const {

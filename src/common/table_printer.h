@@ -19,9 +19,6 @@ class TablePrinter {
   /// Appends a data row; must have the same arity as the header.
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with `precision` decimals.
-  void AddNumericRow(const std::vector<double>& row, int precision = 2);
-
   /// Renders the table with column-wise alignment.
   std::string ToString() const;
 

@@ -14,18 +14,14 @@ using UserId = std::int32_t;
 /// Identifier of an item in the catalogue, dense-indexed [0, num_items).
 using ItemId = std::int32_t;
 
-/// Identifier of a formed group, dense-indexed [0, num_groups).
-using GroupId = std::int32_t;
-
 /// A preference rating. The paper's explicit-feedback scale is a discrete
 /// set of positive integers (e.g. 1..5), but predicted ratings may be real
 /// numbers (§2.1), so the library-wide rating type is double.
 using Rating = double;
 
-/// Sentinel for "no such user / item / group".
+/// Sentinel for "no such user / item".
 inline constexpr UserId kInvalidUser = -1;
 inline constexpr ItemId kInvalidItem = -1;
-inline constexpr GroupId kInvalidGroup = -1;
 
 /// Sentinel rating for "user has not rated this item and no policy applies".
 inline constexpr Rating kMissingRating =

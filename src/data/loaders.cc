@@ -124,15 +124,4 @@ StatusOr<RatingMatrix> LoadMovieLens(const std::string& path) {
   return ParseTriplets(collapsed, options);
 }
 
-Status SaveTripletFile(const RatingMatrix& matrix, const std::string& path) {
-  common::CsvWriter writer;
-  for (UserId u = 0; u < matrix.num_users(); ++u) {
-    for (const auto& entry : matrix.RatingsOf(u)) {
-      writer.AddRow({StrFormat("%d", u), StrFormat("%d", entry.item),
-                     common::FormatDouble(entry.rating, 3)});
-    }
-  }
-  return writer.WriteFile(path);
-}
-
 }  // namespace groupform::data

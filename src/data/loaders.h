@@ -36,10 +36,6 @@ common::StatusOr<RatingMatrix> ParseTriplets(const std::string& content,
 /// Loads MovieLens `ratings.dat` ("user::movie::rating::timestamp").
 common::StatusOr<RatingMatrix> LoadMovieLens(const std::string& path);
 
-/// Writes a matrix as `user,item,rating` CSV (dense ids).
-common::Status SaveTripletFile(const RatingMatrix& matrix,
-                               const std::string& path);
-
 }  // namespace groupform::data
 
 #endif  // GROUPFORM_DATA_LOADERS_H_

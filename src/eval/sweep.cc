@@ -203,25 +203,6 @@ SweepMetric AvgSatPerMemberMetric() {
           }};
 }
 
-std::vector<SweepSeries> CrossSeries(
-    const std::vector<std::string>& solvers,
-    const std::vector<std::pair<std::string, core::SolverOptions>>&
-        variants) {
-  std::vector<SweepSeries> grid;
-  for (const auto& solver : solvers) {
-    for (const auto& [variant, options] : variants) {
-      SweepSeries series;
-      series.solver = solver;
-      series.options = options;
-      if (!variant.empty()) {
-        series.label = SolverDisplayLabel(solver) + "/" + variant;
-      }
-      grid.push_back(std::move(series));
-    }
-  }
-  return grid;
-}
-
 const char* SweepCellStateToString(SweepCellState state) {
   switch (state) {
     case SweepCellState::kOk:

@@ -96,15 +96,6 @@ struct SweepSeries {
   std::int64_t group_cap = -1;
 };
 
-/// Crosses `solvers` with named option variants into an explicit series
-/// grid: one series per (solver, variant), labelled
-/// "<display><suffix>/<variant>". An empty variant name keeps the plain
-/// label. This is how a spec sweeps a SolverOptions grid declaratively.
-std::vector<SweepSeries> CrossSeries(
-    const std::vector<std::string>& solvers,
-    const std::vector<std::pair<std::string, core::SolverOptions>>&
-        variants);
-
 /// The declarative description of one sweep (one figure panel / table).
 struct SweepSpec {
   /// Identifier used in JSON ("fig1a"); [a-z0-9_] by convention.

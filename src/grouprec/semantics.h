@@ -28,8 +28,9 @@ enum class Aggregation {
 };
 
 /// How to resolve sc(u, i) when user u has not rated (and the system has
-/// not predicted) item i. Real deployments predict first (see recsys::),
-/// but the formation algorithms remain well-defined on sparse data.
+/// not predicted) item i. No predictor ships: matrices come from the
+/// loaders and generators as given, and the formation algorithms remain
+/// well-defined on sparse data.
 enum class MissingRatingPolicy {
   /// Treat as r_min, the most pessimistic in-scale value (default; keeps
   /// all scores inside the rating scale).

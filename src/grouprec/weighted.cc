@@ -1,34 +1,12 @@
 #include "grouprec/weighted.h"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace groupform::grouprec {
-
-double PositionWeight(PositionWeighting scheme, int pos) {
-  GF_DCHECK(pos >= 0);
-  switch (scheme) {
-    case PositionWeighting::kUniform:
-      return 1.0;
-    case PositionWeighting::kInversePosition:
-      return 1.0 / (static_cast<double>(pos) + 1.0);
-    case PositionWeighting::kLogInverse:
-      return NdcgDiscount(pos);
-  }
-  return 1.0;
-}
-
-double WeightedSumSatisfaction(const GroupTopK& list,
-                               PositionWeighting scheme) {
-  double total = 0.0;
-  for (int pos = 0; pos < list.size(); ++pos) {
-    total += PositionWeight(scheme, pos) *
-             list.items[static_cast<std::size_t>(pos)].score;
-  }
-  return total;
-}
 
 double UserNdcg(const data::RatingStore& store, UserId user,
                 std::span<const ItemId> recommended, int k,
@@ -73,22 +51,6 @@ double UserNdcg(const data::RatingStore& store, UserId user,
   }
   if (idcg <= 0.0) return 0.0;
   return dcg / idcg;
-}
-
-double GroupNdcgSatisfaction(const data::RatingStore& store,
-                             std::span<const UserId> group,
-                             std::span<const ItemId> recommended, int k,
-                             Semantics semantics,
-                             MissingRatingPolicy missing) {
-  if (group.empty()) return 0.0;
-  double min_ndcg = std::numeric_limits<double>::infinity();
-  double sum_ndcg = 0.0;
-  for (UserId u : group) {
-    const double ndcg = UserNdcg(store, u, recommended, k, missing);
-    min_ndcg = std::min(min_ndcg, ndcg);
-    sum_ndcg += ndcg;
-  }
-  return semantics == Semantics::kLeastMisery ? min_ndcg : sum_ndcg;
 }
 
 }  // namespace groupform::grouprec

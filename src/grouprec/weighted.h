@@ -3,31 +3,11 @@
 
 #include <cmath>
 #include <span>
-#include <vector>
 
 #include "data/rating_store.h"
-#include "grouprec/group_scorer.h"
+#include "grouprec/semantics.h"
 
 namespace groupform::grouprec {
-
-/// Positional weighting schemes for the Weighted-Sum extension (§6,
-/// "Weights at the item list level").
-enum class PositionWeighting {
-  /// w_j = 1 for every position — plain Sum aggregation.
-  kUniform,
-  /// w_j = 1 / (j + 1) for 0-based position j.
-  kInversePosition,
-  /// w_j = 1 / log2(j + 2) — DCG-style discounting.
-  kLogInverse,
-};
-
-/// The weight of 0-based list position `pos` under `scheme`.
-double PositionWeight(PositionWeighting scheme, int pos);
-
-/// Weighted-Sum group satisfaction over a recommended list:
-/// sum_j w_j * sc(g, i^j). With kUniform this equals Sum aggregation.
-double WeightedSumSatisfaction(const GroupTopK& list,
-                               PositionWeighting scheme);
 
 /// The NDCG gain of a graded relevance: 2^rel - 1.
 inline double NdcgGain(double relevance) {
@@ -48,15 +28,6 @@ inline double NdcgDiscount(int pos) {
 double UserNdcg(const data::RatingStore& store, UserId user,
                 std::span<const ItemId> recommended, int k,
                 MissingRatingPolicy missing = MissingRatingPolicy::kScaleMin);
-
-/// Group satisfaction under §6's user-level weighting: per-user NDCG values
-/// combined with the group semantics (LM = min of member NDCGs, AV = sum).
-double GroupNdcgSatisfaction(const data::RatingStore& store,
-                             std::span<const UserId> group,
-                             std::span<const ItemId> recommended, int k,
-                             Semantics semantics,
-                             MissingRatingPolicy missing =
-                                 MissingRatingPolicy::kScaleMin);
 
 }  // namespace groupform::grouprec
 

@@ -48,6 +48,12 @@ common::StatusOr<data::RatingMatrix> BuildInstance(
                                          spec.kind + "\"");
 }
 
+std::int32_t DeclaredUsers(const InstanceSpec& spec) {
+  const bool declared = spec.kind == "synthetic" || spec.kind == "dense" ||
+                        spec.kind == "inline";
+  return declared ? spec.users : 0;
+}
+
 std::int64_t LoadedInstance::ChargedBytes() const {
   if (dense != nullptr) return dense->ByteSize();
   GF_CHECK(compact != nullptr) << "LoadedInstance has no backend";

@@ -34,6 +34,12 @@ namespace groupform::serve {
 /// missing file.
 common::StatusOr<data::RatingMatrix> BuildInstance(const InstanceSpec& spec);
 
+/// The user count `spec` declares: BuildInstance builds exactly
+/// `spec.users` rows for kinds "synthetic", "dense" and "inline", so a
+/// caller can price them before building. 0 for the file kinds, whose
+/// population is known only once loaded.
+std::int32_t DeclaredUsers(const InstanceSpec& spec);
+
 /// One loaded instance behind a storage backend (DESIGN.md §14.4):
 /// exactly one of `dense` / `compact` is set. backend "dense" →
 /// `dense`; "compact" and "mmap" → `compact` (in-RAM quantized cells vs

@@ -356,7 +356,29 @@ Response Session::Execute(
                     request.solver.c_str())));
   }
 
-  // 2. The instance. A delta resolves its epoch: GetEpoch validates the
+  // 2. The user cap, the sweep engine's cap semantics: over-budget
+  // populations answer DNF without running (the paper's "omitted"
+  // configurations). The cap prices the population actually solved — a
+  // delta's epoch. A fresh request that declares its population is
+  // priced here, before the load, so a capped request never builds a
+  // matrix it will not solve; the others are priced once step 3 has
+  // loaded them.
+  const std::int64_t user_cap =
+      request.user_cap > 0 ? request.user_cap : config_.default_user_cap;
+  const auto over_cap = [&](std::int64_t users) {
+    return fail(eval::SweepCellState::kDnf,
+                Status::ResourceExhausted(common::StrFormat(
+                    "%s has %lld users, over the user_cap of %lld",
+                    request.is_delta ? "epoch" : "instance",
+                    static_cast<long long>(users),
+                    static_cast<long long>(user_cap))));
+  };
+  if (user_cap > 0 && !request.is_delta &&
+      DeclaredUsers(request.instance) > user_cap) {
+    return over_cap(DeclaredUsers(request.instance));
+  }
+
+  // 3. The instance. A delta resolves its epoch: GetEpoch validates the
   // sequence (ApplyDeltas's INVALID_ARGUMENT surface — never a GF_CHECK
   // abort) and materialises the post-delta matrix at most once per epoch
   // key. The held shared_ptrs pin the cache entries for the whole
@@ -379,18 +401,9 @@ Response Session::Execute(
     loaded = *std::move(loaded_or);
   }
 
-  // 3. The sweep engine's cap semantics: over-budget populations answer
-  // DNF without running (the paper's "omitted" configurations). The cap
-  // prices the population actually solved — a delta's epoch.
-  const std::int64_t user_cap =
-      request.user_cap > 0 ? request.user_cap : config_.default_user_cap;
-  const std::int32_t users = loaded.Store().num_users();
-  if (user_cap > 0 && users > user_cap) {
-    return fail(eval::SweepCellState::kDnf,
-                Status::ResourceExhausted(common::StrFormat(
-                    "%s has %d users, over the user_cap of %lld",
-                    request.is_delta ? "epoch" : "instance", users,
-                    static_cast<long long>(user_cap))));
+  // The populations step 2 could not price: file kinds and epochs.
+  if (user_cap > 0 && loaded.Store().num_users() > user_cap) {
+    return over_cap(loaded.Store().num_users());
   }
 
   // 4. The problem.

@@ -56,11 +56,5 @@ TEST(ParseInt64, AcceptsIntegersRejectsGarbage) {
   EXPECT_FALSE(ParseInt64("", &v));
 }
 
-TEST(FormatDouble, TrimsTrailingZeros) {
-  EXPECT_EQ(FormatDouble(2.5, 4), "2.5");
-  EXPECT_EQ(FormatDouble(3.0, 4), "3");
-  EXPECT_EQ(FormatDouble(1.2345, 2), "1.23");
-}
-
 }  // namespace
 }  // namespace groupform::common

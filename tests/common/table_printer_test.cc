@@ -17,14 +17,6 @@ TEST(TablePrinter, AlignsColumnsRightAndDrawsRule) {
   EXPECT_EQ(table.ToString(), expected);
 }
 
-TEST(TablePrinter, NumericRowsUsePrecision) {
-  TablePrinter table({"a", "b"});
-  table.AddNumericRow({1.23456, 2.0}, 2);
-  EXPECT_NE(table.ToString().find("1.23"), std::string::npos);
-  EXPECT_NE(table.ToString().find("2.00"), std::string::npos);
-  EXPECT_EQ(table.num_rows(), 1u);
-}
-
 TEST(TablePrinter, WideCellsStretchTheColumn) {
   TablePrinter table({"x"});
   table.AddRow({"longer-than-header"});

@@ -64,7 +64,6 @@ TEST(Stopwatch, MeasuresElapsedTimeMonotonically) {
   const double t1 = stopwatch.ElapsedSeconds();
   EXPECT_GE(t0, 0.0);
   EXPECT_GT(t1, t0);
-  EXPECT_GE(stopwatch.ElapsedMillis(), 10.0 * 0.5);  // allow scheduler slop
   stopwatch.Reset();
   EXPECT_LT(stopwatch.ElapsedSeconds(), t1);
 }

@@ -53,7 +53,7 @@ data::RatingMatrix RandomMatrix(std::int32_t num_users,
     for (const std::int64_t item : picks) {
       const double rating = integer_only || rng.Bernoulli(0.5)
                                 ? static_cast<double>(rng.UniformInt(1, 5))
-                                : rng.Uniform(1.0, 5.0);
+                                : 1.0 + 4.0 * rng.NextDouble();
       EXPECT_TRUE(
           builder.AddRating(u, static_cast<ItemId>(item), rating).ok());
     }

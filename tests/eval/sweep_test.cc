@@ -38,6 +38,16 @@ SweepInstance MakeInstance(int users) {
   return instance;
 }
 
+/// One explicit series per registry name, with derived labels.
+std::vector<eval::SweepSeries> Series(
+    const std::vector<std::string>& solvers) {
+  std::vector<eval::SweepSeries> series(solvers.size());
+  for (std::size_t i = 0; i < solvers.size(); ++i) {
+    series[i].solver = solvers[i];
+  }
+  return series;
+}
+
 SweepSpec SmallSpec() {
   SweepSpec spec;
   spec.name = "test_sweep";
@@ -60,13 +70,13 @@ class SweepTest : public ::testing::Test {
 
 TEST_F(SweepTest, GridExpandsRowMajorWithOptionVariants) {
   SweepSpec spec = SmallSpec();
-  // A SolverOptions grid: greedy × two (no-op) variants, then localsearch.
-  spec.series = eval::CrossSeries(
-      {"greedy"}, {{"v1", SolverOptions().Set("unused", "1")},
-                   {"v2", SolverOptions().Set("unused", "2")}});
-  eval::SweepSeries ls;
-  ls.solver = "localsearch";
-  spec.series.push_back(ls);
+  // A SolverOptions grid: greedy × two labelled (no-op) variants, then
+  // localsearch with a derived label.
+  spec.series = Series({"greedy", "greedy", "localsearch"});
+  spec.series[0].label = "GRD/v1";
+  spec.series[0].options.Set("unused", "1");
+  spec.series[1].label = "GRD/v2";
+  spec.series[1].options.Set("unused", "2");
   spec.series_suffix = "-T";
 
   const auto result = RunSweep(spec);
@@ -125,7 +135,7 @@ TEST_F(SweepTest, TableAndJsonByteIdenticalAcrossThreadCounts) {
   SweepSpec spec = SmallSpec();
   spec.xs = {6, 8, 10};
   spec.repetitions = 2;
-  spec.series = eval::CrossSeries({"greedy", "localsearch"}, {{"", {}}});
+  spec.series = Series({"greedy", "localsearch"});
   // SecondsMetric is wall-clock-tagged: with record_seconds off it
   // reports 0, so even a timing column stays byte-identical.
   spec.metrics = {eval::ObjectiveMetric(), eval::SecondsMetric()};
@@ -242,7 +252,7 @@ TEST_F(SweepTest, SeriesCapsSkipCellsAsDnfWithoutRunning) {
 TEST_F(SweepTest, SingleXTransposesToSeriesRows) {
   SweepSpec spec = SmallSpec();
   spec.xs = {8};
-  spec.series = eval::CrossSeries({"greedy"}, {{"", {}}});
+  spec.series = Series({"greedy"});
   spec.metrics = {eval::ObjectiveMetric(), eval::SecondsMetric()};
   const auto result = RunSweep(spec);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -257,7 +267,7 @@ TEST_F(SweepTest, InstanceGenerationSharedAcrossRepetitionsByDefault) {
   SweepSpec spec = SmallSpec();
   spec.xs = {6};
   spec.repetitions = 3;
-  spec.series = eval::CrossSeries({"greedy"}, {{"", {}}});
+  spec.series = Series({"greedy"});
   spec.make_instance = [&calls](int x, int) {
     ++calls;
     return MakeInstance(x);
@@ -274,7 +284,7 @@ TEST_F(SweepTest, InstanceGenerationSharedAcrossRepetitionsByDefault) {
 TEST_F(SweepTest, GfBenchRepsOverridesSpecRepetitions) {
   SweepSpec spec = SmallSpec();
   spec.repetitions = 3;
-  spec.series = eval::CrossSeries({"greedy"}, {{"", {}}});
+  spec.series = Series({"greedy"});
   setenv("GF_BENCH_REPS", "1", /*overwrite=*/1);
   const auto overridden = RunSweep(spec);
   unsetenv("GF_BENCH_REPS");

@@ -1,4 +1,4 @@
-// The §6 extension measures: weighted-sum objective and NDCG objectives.
+// MeanUserNdcg, the per-user NDCG oracle of the served metrics pass (§6).
 #include <gtest/gtest.h>
 
 #include "core/greedy.h"
@@ -11,7 +11,6 @@ namespace {
 
 using core::FormationProblem;
 using grouprec::Aggregation;
-using grouprec::PositionWeighting;
 using grouprec::Semantics;
 
 FormationProblem Problem(const data::RatingMatrix& matrix,
@@ -26,57 +25,14 @@ FormationProblem Problem(const data::RatingMatrix& matrix,
   return problem;
 }
 
-TEST(WeightedSumObjective, UniformWeightsEqualPlainSumObjective) {
-  const auto matrix = data::PaperExample1();
-  const auto problem = Problem(matrix, Semantics::kLeastMisery,
-                               Aggregation::kSum, 2, 3);
-  const auto result = core::RunGreedy(problem);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(eval::WeightedSumObjective(problem, *result,
-                                         PositionWeighting::kUniform),
-              result->objective, 1e-9);
-}
-
-TEST(WeightedSumObjective, DiscountingWeightsReduceTheValue) {
-  const auto matrix = data::GenerateClusteredDense(60, 25, 6, 61);
-  const auto problem = Problem(matrix, Semantics::kAggregateVoting,
-                               Aggregation::kSum, 5, 6);
-  const auto result = core::RunGreedy(problem);
-  ASSERT_TRUE(result.ok());
-  const double uniform = eval::WeightedSumObjective(
-      problem, *result, PositionWeighting::kUniform);
-  const double log_discounted = eval::WeightedSumObjective(
-      problem, *result, PositionWeighting::kLogInverse);
-  const double inverse = eval::WeightedSumObjective(
-      problem, *result, PositionWeighting::kInversePosition);
-  EXPECT_GT(uniform, log_discounted);
-  EXPECT_GT(log_discounted, inverse);
-  EXPECT_GT(inverse, 0.0);
-}
-
-TEST(NdcgObjective, FullySatisfiedGroupsScorePerfectNdcg) {
+TEST(MeanUserNdcg, SingletonGroupsScoreOne) {
   const auto matrix = data::PaperExample1();
   // ell = 6 under LM: everyone in a singleton group with their own list.
   const auto problem = Problem(matrix, Semantics::kLeastMisery,
                                Aggregation::kMin, 2, 6);
   const auto result = core::RunGreedy(problem);
   ASSERT_TRUE(result.ok());
-  // LM + singleton groups: every group's NDCG satisfaction is exactly 1.
-  EXPECT_NEAR(eval::NdcgObjective(problem, *result),
-              static_cast<double>(result->num_groups()), 1e-9);
   EXPECT_NEAR(eval::MeanUserNdcg(problem, *result), 1.0, 1e-9);
-}
-
-TEST(NdcgObjective, AvSemanticsSumMemberNdcgs) {
-  const auto matrix = data::PaperExample2();
-  const auto problem = Problem(matrix, Semantics::kAggregateVoting,
-                               Aggregation::kMin, 2, 2);
-  const auto result = core::RunGreedy(problem);
-  ASSERT_TRUE(result.ok());
-  // Sum-of-member-NDCGs over all groups is at most n and positive.
-  const double objective = eval::NdcgObjective(problem, *result);
-  EXPECT_GT(objective, 0.0);
-  EXPECT_LE(objective, 6.0 + 1e-9);
 }
 
 TEST(MeanUserNdcg, ResidualMembersDragTheMeanBelowOne) {

@@ -51,7 +51,7 @@ data::RatingMatrix GappedMatrix(std::int32_t num_users,
     for (const std::int64_t p : picks) {
       const double rating = rng.Bernoulli(0.5)
                                 ? static_cast<double>(rng.UniformInt(1, 5))
-                                : rng.Uniform(1.0, 5.0);
+                                : 1.0 + 4.0 * rng.NextDouble();
       EXPECT_TRUE(
           builder.AddRating(u, static_cast<ItemId>(lead_gap + p), rating)
               .ok());

@@ -1,5 +1,4 @@
-// Weighted-Sum and NDCG extensions (§6).
-#include <cmath>
+// Per-user NDCG (§6, "Weights at the user level").
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,38 +8,6 @@
 
 namespace groupform {
 namespace {
-
-using grouprec::PositionWeighting;
-
-TEST(PositionWeight, SchemesMatchTheirFormulas) {
-  EXPECT_DOUBLE_EQ(PositionWeight(PositionWeighting::kUniform, 0), 1.0);
-  EXPECT_DOUBLE_EQ(PositionWeight(PositionWeighting::kUniform, 7), 1.0);
-  EXPECT_DOUBLE_EQ(PositionWeight(PositionWeighting::kInversePosition, 0),
-                   1.0);
-  EXPECT_DOUBLE_EQ(PositionWeight(PositionWeighting::kInversePosition, 3),
-                   0.25);
-  EXPECT_DOUBLE_EQ(PositionWeight(PositionWeighting::kLogInverse, 0), 1.0);
-  EXPECT_NEAR(PositionWeight(PositionWeighting::kLogInverse, 2),
-              1.0 / std::log2(4.0), 1e-12);
-}
-
-TEST(WeightedSum, UniformEqualsPlainSumAndWeightsDiscountTail) {
-  grouprec::GroupTopK list;
-  list.items = {{0, 4.0}, {1, 2.0}};
-  EXPECT_DOUBLE_EQ(
-      grouprec::WeightedSumSatisfaction(list, PositionWeighting::kUniform),
-      6.0);
-  EXPECT_DOUBLE_EQ(grouprec::WeightedSumSatisfaction(
-                       list, PositionWeighting::kInversePosition),
-                   4.0 + 1.0);
-  // Reordering the same scores changes the weighted value.
-  grouprec::GroupTopK reversed;
-  reversed.items = {{1, 2.0}, {0, 4.0}};
-  EXPECT_GT(grouprec::WeightedSumSatisfaction(
-                list, PositionWeighting::kInversePosition),
-            grouprec::WeightedSumSatisfaction(
-                reversed, PositionWeighting::kInversePosition));
-}
 
 TEST(UserNdcg, PerfectListScoresOneAndWorstListLess) {
   const auto matrix = data::PaperExample1();
@@ -62,21 +29,6 @@ TEST(UserNdcg, SwappedPairScoresBelowIdealButAboveReversed) {
   EXPECT_NEAR(ideal, 1.0, 1e-12);
   EXPECT_LT(swapped, ideal);
   EXPECT_LT(reversed, swapped);
-}
-
-TEST(GroupNdcg, LmTakesTheMinAvTakesTheSum) {
-  const auto matrix = data::PaperExample1();
-  const std::vector<UserId> group = {1, 5};  // u2, u6 share top item i3
-  const std::vector<ItemId> list = {2};      // i3
-  const double u2 = grouprec::UserNdcg(matrix, 1, list, 1);
-  const double u6 = grouprec::UserNdcg(matrix, 5, list, 1);
-  EXPECT_NEAR(grouprec::GroupNdcgSatisfaction(
-                  matrix, group, list, 1, grouprec::Semantics::kLeastMisery),
-              std::min(u2, u6), 1e-12);
-  EXPECT_NEAR(
-      grouprec::GroupNdcgSatisfaction(matrix, group, list, 1,
-                                      grouprec::Semantics::kAggregateVoting),
-      u2 + u6, 1e-12);
 }
 
 }  // namespace

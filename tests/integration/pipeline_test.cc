@@ -1,6 +1,6 @@
-// End-to-end pipeline: generate sparse data -> train a predictor ->
-// densify -> form groups (several solvers) -> evaluate. Exercises the
-// seams between the modules rather than any one module.
+// End-to-end pipeline: generate sparse data -> form groups (several
+// solvers) -> evaluate. Exercises the seams between the modules rather
+// than any one module.
 #include <gtest/gtest.h>
 
 #include "baseline/cluster_baseline.h"
@@ -11,14 +11,12 @@
 #include "eval/metrics.h"
 #include "eval/weighted_objective.h"
 #include "exact/local_search.h"
-#include "recsys/matrix_factorization.h"
-#include "recsys/predictor.h"
 #include "solvers/builtin.h"
 
 namespace groupform {
 namespace {
 
-TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
+TEST(Pipeline, SparseToFormedToEvaluated) {
   // 1. Sparse explicit feedback.
   auto config = data::YahooMusicLikeConfig(400, 120, /*seed=*/606);
   config.min_ratings_per_user = 10;
@@ -26,16 +24,9 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   const auto sparse = data::GenerateLatentFactor(config);
   ASSERT_LT(sparse.Density(), 0.3);
 
-  // 2. Train MF, densify the popular head with predictions.
-  recsys::MfPredictor::Options mf_options;
-  mf_options.num_epochs = 10;
-  const recsys::MfPredictor predictor(sparse, mf_options);
-  const auto dense = recsys::DensifyWithPredictions(sparse, predictor, 40);
-  ASSERT_GT(dense.num_ratings(), sparse.num_ratings());
-
-  // 3. Form groups on the densified matrix.
+  // 2. Form groups on the sparse matrix as given.
   core::FormationProblem problem;
-  problem.matrix = &dense;
+  problem.matrix = &sparse;
   problem.semantics = grouprec::Semantics::kLeastMisery;
   problem.aggregation = grouprec::Aggregation::kMax;
   problem.k = 5;
@@ -43,7 +34,7 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   const auto formed = core::RunGreedy(problem);
   ASSERT_TRUE(formed.ok());
 
-  // 4. The solution validates, and the solver ladder behaves.
+  // 3. The solution validates, and the solver ladder behaves.
   EXPECT_TRUE(core::ValidatePartition(problem, *formed).ok());
   const auto refined = exact::LocalSearchSolver(problem).Solve(17);
   ASSERT_TRUE(refined.ok());
@@ -52,10 +43,10 @@ TEST(Pipeline, SparseToPredictedToFormedToEvaluated) {
   ASSERT_TRUE(clustered.ok());
   EXPECT_GE(formed->objective, clustered->objective - 1e-9);
 
-  // 5. Metrics are finite and consistent.
+  // 4. Metrics are finite and consistent.
   EXPECT_GT(eval::AvgGroupSatisfaction(problem, *formed), 0.0);
   EXPECT_GT(eval::MeanPerUserSatisfaction(problem, *formed),
-            dense.scale().min - 1e-9);
+            sparse.scale().min - 1e-9);
   const double ndcg = eval::MeanUserNdcg(problem, *formed);
   EXPECT_GT(ndcg, 0.0);
   EXPECT_LE(ndcg, 1.0 + 1e-9);
@@ -111,12 +102,6 @@ TEST(Pipeline, ConstrainedFormationFeedsTheGroupBudget) {
     EXPECT_GE(g.members.size(), 8u);
     EXPECT_LE(g.members.size(), 40u);
   }
-  // The weighted view of the same result is consistent with the plain one.
-  const double uniform = eval::WeightedSumObjective(
-      problem, *result, grouprec::PositionWeighting::kUniform);
-  const double discounted = eval::WeightedSumObjective(
-      problem, *result, grouprec::PositionWeighting::kLogInverse);
-  EXPECT_GE(uniform, discounted);
 }
 
 }  // namespace

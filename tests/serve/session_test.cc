@@ -193,6 +193,24 @@ TEST_F(SessionTest, UserCapAnswersDnfWithoutRunning) {
   EXPECT_EQ(session.Execute(request).state, eval::SweepCellState::kOk);
 }
 
+TEST_F(SessionTest, UserCapOnADeclaredPopulationAnswersBeforeBuilding) {
+  // 200,000,000 users x 1,000 items would take terabytes to build: the cap
+  // must answer from the declared size alone.
+  Session session;
+  Request request = TestRequest("greedy");
+  request.instance.users = 200000000;
+  request.instance.items = 1000;
+  request.user_cap = 1000;
+  const Response response = session.Execute(request);
+  EXPECT_EQ(response.state, eval::SweepCellState::kDnf);
+  EXPECT_EQ(response.status.code(),
+            common::StatusCode::kResourceExhausted);
+  EXPECT_EQ(response.status.message(),
+            "instance has 200000000 users, over the user_cap of 1000");
+  EXPECT_EQ(session.cache().stats().entries, 0);
+  EXPECT_EQ(session.cache().stats().misses, 0);
+}
+
 TEST_F(SessionTest, ExpiredDeadlineAnswersDnfBeforeExecuting) {
   Session session;
   Request request = TestRequest("greedy");
