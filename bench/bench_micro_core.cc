@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the core operations and the
 // design-choice ablations called out in DESIGN.md: per-user top-k
-// extraction, bucket construction (the whole greedy pass), group top-k
-// over full-catalogue vs truncated union candidates, Kendall-Tau distance
-// with full vs truncated profiles, and the exact subset-DP growth.
+// extraction, delta epoch materialisation, bucket construction (the whole
+// greedy pass), group top-k over full-catalogue vs truncated union
+// candidates, Kendall-Tau distance with full vs truncated profiles, and
+// the exact subset-DP growth.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "baseline/kendall_tau.h"
+#include "common/random.h"
+#include "core/delta.h"
 #include "core/formation.h"
 #include "core/greedy.h"
 #include "data/synthetic.h"
@@ -44,6 +47,51 @@ void BM_TopKListExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKListExtraction)->Arg(5)->Arg(25)->Arg(125);
+
+// One delta epoch (DESIGN.md §13.2): a 3000 x 500 yahoo base under a
+// 40-operation sequence in which four of five operations rerate a cell of
+// an active user and the rest remove users or re-add removed ones.
+void BM_MaterializeDeltas(benchmark::State& state) {
+  const auto base = data::GenerateLatentFactor(
+      data::YahooMusicLikeConfig(3000, 500, /*seed=*/42));
+  common::Rng rng(7);
+  std::vector<char> active(static_cast<std::size_t>(base.num_users()), 1);
+  std::vector<UserId> removed;
+  std::vector<core::PopulationDelta> deltas;
+  while (deltas.size() < 40) {
+    const auto user =
+        static_cast<UserId>(rng.UniformInt(0, base.num_users() - 1));
+    const bool is_active = active[static_cast<std::size_t>(user)] != 0;
+    const double roll = rng.NextDouble();
+    if (roll < 0.8) {
+      if (!is_active) continue;
+      deltas.push_back(
+          {core::PopulationDelta::Kind::kRerate, user,
+           static_cast<ItemId>(rng.UniformInt(0, base.num_items() - 1)),
+           static_cast<double>(rng.UniformInt(1, 5))});
+    } else if (!removed.empty() && roll > 0.9) {
+      deltas.push_back(
+          {core::PopulationDelta::Kind::kAddUser, removed.back()});
+      active[static_cast<std::size_t>(removed.back())] = 1;
+      removed.pop_back();
+    } else {
+      if (!is_active) continue;
+      deltas.push_back({core::PopulationDelta::Kind::kRemoveUser, user});
+      active[static_cast<std::size_t>(user)] = 0;
+      removed.push_back(user);
+    }
+  }
+  const auto applied = core::ApplyDeltas(base, deltas);
+  if (!applied.ok()) {
+    state.SkipWithError(applied.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::MaterializeDeltas(base, *applied));
+  }
+  state.SetItemsProcessed(state.iterations() * base.num_ratings());
+}
+BENCHMARK(BM_MaterializeDeltas);
 
 void BM_GreedyFormation(benchmark::State& state) {
   const auto& matrix = SharedMatrix(

@@ -1,48 +1,22 @@
 #include "common/logging.h"
 
-#include <atomic>
+#include <cstdlib>
+#include <iostream>
 
 namespace groupform::common {
-namespace {
 
-std::atomic<LogSeverity> g_min_severity{LogSeverity::kInfo};
-
-const char* SeverityTag(LogSeverity severity) {
-  switch (severity) {
-    case LogSeverity::kInfo:
-      return "I";
-    case LogSeverity::kWarning:
-      return "W";
-    case LogSeverity::kError:
-      return "E";
-    case LogSeverity::kFatal:
-      return "F";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogSeverity MinLogSeverity() { return g_min_severity.load(); }
-
-void SetMinLogSeverity(LogSeverity severity) { g_min_severity.store(severity); }
-
-LogMessage::LogMessage(LogSeverity severity, const char* file, int line)
-    : severity_(severity) {
+FatalMessage::FatalMessage(const char* file, int line) {
   // Strip the directory part for readable prefixes.
   const char* base = file;
   for (const char* p = file; *p != '\0'; ++p) {
     if (*p == '/') base = p + 1;
   }
-  stream_ << "[" << SeverityTag(severity) << " " << base << ":" << line
-          << "] ";
+  stream_ << "[F " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (severity_ >= MinLogSeverity() || severity_ == LogSeverity::kFatal) {
-    std::cerr << stream_.str() << std::endl;
-  }
-  if (severity_ == LogSeverity::kFatal) std::abort();
+FatalMessage::~FatalMessage() {
+  std::cerr << stream_.str() << std::endl;
+  std::abort();
 }
 
 }  // namespace groupform::common

@@ -1,64 +1,41 @@
 #ifndef GROUPFORM_COMMON_LOGGING_H_
 #define GROUPFORM_COMMON_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <sstream>
 
 namespace groupform::common {
 
-enum class LogSeverity { kInfo = 0, kWarning = 1, kError = 2, kFatal = 3 };
-
-/// Minimum severity actually emitted; default kInfo. Benchmarks raise this
-/// to kWarning to keep tables clean.
-LogSeverity MinLogSeverity();
-void SetMinLogSeverity(LogSeverity severity);
-
-/// One log statement. Streams into an internal buffer and writes a single
-/// line to stderr on destruction; kFatal aborts the process afterwards.
-class LogMessage {
+/// A failed check. Streams into an internal buffer, then on destruction
+/// writes one "[F file:line] ..." line to stderr and aborts the process.
+class FatalMessage {
  public:
-  LogMessage(LogSeverity severity, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  ~FatalMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogSeverity severity_;
   std::ostringstream stream_;
 };
 
-/// Swallows a log stream when the severity is below the emission threshold.
-struct LogMessageVoidify {
+/// Gives the failing branch of GF_CHECK the passing branch's type (void).
+struct FatalMessageVoidify {
   void operator&(std::ostream&) {}
 };
 
 }  // namespace groupform::common
 
-#define GF_LOG_INFO \
-  ::groupform::common::LogMessage( \
-      ::groupform::common::LogSeverity::kInfo, __FILE__, __LINE__)
-#define GF_LOG_WARNING \
-  ::groupform::common::LogMessage( \
-      ::groupform::common::LogSeverity::kWarning, __FILE__, __LINE__)
-#define GF_LOG_ERROR \
-  ::groupform::common::LogMessage( \
-      ::groupform::common::LogSeverity::kError, __FILE__, __LINE__)
-#define GF_LOG_FATAL \
-  ::groupform::common::LogMessage( \
-      ::groupform::common::LogSeverity::kFatal, __FILE__, __LINE__)
-
-/// GF_LOG(INFO) << "..." — severity is one of INFO/WARNING/ERROR/FATAL.
-#define GF_LOG(severity) GF_LOG_##severity.stream()
-
 /// Always-on invariant check; logs the failed condition and aborts.
-#define GF_CHECK(cond)                                      \
-  (cond) ? (void)0                                          \
-         : ::groupform::common::LogMessageVoidify() &       \
-               GF_LOG(FATAL) << "Check failed: " #cond " "
+#define GF_CHECK(cond)                                                \
+  (cond) ? (void)0                                                    \
+         : ::groupform::common::FatalMessageVoidify() &               \
+               ::groupform::common::FatalMessage(__FILE__, __LINE__)  \
+                       .stream()                                      \
+                   << "Check failed: " #cond " "
 
 #define GF_CHECK_EQ(a, b) GF_CHECK((a) == (b))
 #define GF_CHECK_NE(a, b) GF_CHECK((a) != (b))

@@ -145,7 +145,20 @@ FormationResult SelectAndAssemble(
   const bool lm = problem.semantics == Semantics::kLeastMisery;
   FormationResult result;
   const int ell = problem.max_groups;
+  GF_CHECK_GE(ell, 1);
   std::vector<UserId> residual_members;
+
+  // Step 2 reads buckets in BucketBetter order only as far as one can win
+  // a group slot: the best ell-1, or every bucket when there are at most
+  // ell. Under LM a bucket wins its first slot only after every better
+  // bucket has won one, so at most ell-1 buckets win any. The unranked
+  // rest join the residual group, whose members are sorted below.
+  const std::size_t ranked = scored.size() <= static_cast<std::size_t>(ell)
+                                 ? scored.size()
+                                 : static_cast<std::size_t>(ell - 1);
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(ranked),
+                    scored.end(), BucketBetter);
 
   if (lm) {
     // Step 2 (LM) — slot allocation with bucket splitting. Every subset of
@@ -157,7 +170,6 @@ FormationResult SelectAndAssemble(
     // alone can lose unboundedly (one giant bucket, ell slots). Ties are
     // allocated round-robin across equal-score buckets, which reproduces
     // the paper's whole-bucket traces whenever splitting is unnecessary.
-    std::sort(scored.begin(), scored.end(), BucketBetter);
     std::vector<int> allocation(scored.size(), 0);
     int slots = ell - 1;
     std::size_t run_start = 0;
@@ -242,15 +254,7 @@ FormationResult SelectAndAssemble(
     // objective; the paper's selection of the best ell-1 whole buckets is
     // kept as-is. When the population forms at most ell buckets, every
     // bucket becomes its own (fully satisfied) group.
-    const std::size_t selected = std::min<std::size_t>(
-        scored.size() <= static_cast<std::size_t>(ell)
-            ? scored.size()
-            : static_cast<std::size_t>(ell - 1),
-        scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<std::ptrdiff_t>(selected),
-                      scored.end(), BucketBetter);
-    for (std::size_t i = 0; i < selected; ++i) {
+    for (std::size_t i = 0; i < ranked; ++i) {
       const auto& [score, bucket] = scored[i];
       FormedGroup group;
       group.members = bucket->members;
@@ -259,7 +263,7 @@ FormationResult SelectAndAssemble(
       result.objective += score;
       result.groups.push_back(std::move(group));
     }
-    for (std::size_t i = selected; i < scored.size(); ++i) {
+    for (std::size_t i = ranked; i < scored.size(); ++i) {
       const auto& members = scored[i].second->members;
       residual_members.insert(residual_members.end(), members.begin(),
                               members.end());

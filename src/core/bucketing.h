@@ -70,8 +70,8 @@ grouprec::GroupTopK BucketRecommendation(const FormationProblem& problem,
 /// IncrementalFormer: selects the best ell-1 group slots from the scored
 /// buckets (with LM bucket splitting — see greedy.h), assembles the
 /// residual group, and totals the objective. The caller sets the result's
-/// algorithm label. `scored` entries must point at buckets that outlive
-/// the call.
+/// algorithm label. `problem` must pass Validate() (max_groups >= 1), and
+/// `scored` entries must point at buckets that outlive the call.
 FormationResult SelectAndAssemble(
     const FormationProblem& problem, const grouprec::GroupScorer& scorer,
     std::vector<std::pair<double, const Bucket*>> scored);

@@ -131,20 +131,54 @@ StatusOr<data::RatingMatrix> MaterializeDeltas(
   if (applied.overlays.empty()) {
     return base.SubsetUsers(applied.active_users);
   }
-  data::RatingMatrixBuilder builder(base.num_users(), base.num_items(),
-                                    base.scale());
-  for (UserId u = 0; u < base.num_users(); ++u) {
-    for (const data::RatingEntry& entry : base.RatingsOf(u)) {
-      GF_RETURN_IF_ERROR(builder.AddRating(u, entry.item, entry.rating));
+  // One merge pass in CSR order: each active user's base row (ascending
+  // items) with that user's overlays (sorted by (user, item)); an overlay
+  // replaces the base cell of its item. Overlays of users that are no
+  // longer active are skipped. FromSortedCsr validates the result.
+  const auto unordered = std::adjacent_find(
+      applied.overlays.begin(), applied.overlays.end(),
+      [](const AppliedDeltas::Overlay& a, const AppliedDeltas::Overlay& b) {
+        return std::pair(a.user, a.item) >= std::pair(b.user, b.item);
+      });
+  if (unordered != applied.overlays.end()) {
+    return Status::InvalidArgument(common::StrFormat(
+        "overlay (%d, %d) is out of (user, item) order", unordered->user,
+        unordered->item));
+  }
+  std::size_t num_entries = applied.overlays.size();
+  UserId previous = -1;
+  for (const UserId u : applied.active_users) {
+    if (u <= previous || u >= base.num_users()) {
+      return Status::InvalidArgument(common::StrFormat(
+          "active user %d is out of range or out of order", u));
     }
+    num_entries += base.RatingsOf(u).size();
+    previous = u;
   }
-  // Duplicates keep the last value, so overlays override base cells.
-  for (const AppliedDeltas::Overlay& overlay : applied.overlays) {
-    GF_RETURN_IF_ERROR(
-        builder.AddRating(overlay.user, overlay.item, overlay.rating));
+  std::vector<std::size_t> row_offsets;
+  row_offsets.reserve(applied.active_users.size() + 1);
+  row_offsets.push_back(0);
+  std::vector<data::RatingEntry> entries;
+  entries.reserve(num_entries);
+  auto overlay = applied.overlays.begin();
+  const auto overlays_end = applied.overlays.end();
+  for (const UserId u : applied.active_users) {
+    while (overlay != overlays_end && overlay->user < u) ++overlay;
+    const auto row = base.RatingsOf(u);
+    auto cell = row.begin();
+    for (; overlay != overlays_end && overlay->user == u; ++overlay) {
+      for (; cell != row.end() && cell->item < overlay->item; ++cell) {
+        entries.push_back(*cell);
+      }
+      if (cell != row.end() && cell->item == overlay->item) ++cell;
+      entries.push_back({overlay->item, overlay->rating});
+    }
+    entries.insert(entries.end(), cell, row.end());
+    row_offsets.push_back(entries.size());
   }
-  const data::RatingMatrix full = std::move(builder).Build();
-  return full.SubsetUsers(applied.active_users);
+  return data::RatingMatrix::FromSortedCsr(std::move(row_offsets),
+                                           std::move(entries),
+                                           base.num_items(), base.scale());
 }
 
 std::vector<std::vector<UserId>> AdaptAssignment(

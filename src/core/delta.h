@@ -84,9 +84,11 @@ common::StatusOr<AppliedDeltas> ApplyDeltas(
 
 /// The epoch matrix: `base` with the overlays applied, subset to the
 /// active users in ascending base-id order (dense epoch-local ids, item
-/// ids preserved). Callers that care about sharing should check
-/// `applied.identical_to_base` first — this function always builds a
-/// fresh matrix.
+/// ids preserved). One merge of each active row with its overlays into
+/// RatingMatrix::FromSortedCsr, so `applied` must keep ApplyDeltas's
+/// order (INVALID_ARGUMENT otherwise). Callers that care about sharing
+/// should check `applied.identical_to_base` first — this function always
+/// builds a fresh matrix.
 common::StatusOr<data::RatingMatrix> MaterializeDeltas(
     const data::RatingMatrix& base, const AppliedDeltas& applied);
 

@@ -65,7 +65,8 @@ class RatingMatrix {
   /// entries.size(), and each row's entries are sorted by item id with
   /// items in [0, num_items). O(num_ratings) validation; INVALID_ARGUMENT
   /// on any violation. This is the fast path for bulk producers that
-  /// already emit CSR order (the scale generator, compact dequantization).
+  /// already emit CSR order (the scale generator, compact dequantization,
+  /// delta epoch materialisation).
   static common::StatusOr<RatingMatrix> FromSortedCsr(
       std::vector<std::size_t> row_offsets, std::vector<RatingEntry> entries,
       std::int32_t num_items, RatingScale scale);

@@ -156,20 +156,7 @@ ResponseMetrics ComputeResponseMetrics(const core::FormationProblem& problem,
       store.VisitRow(u, [&](ItemId item, Rating rating) {
         const std::int32_t slot = slot_of[static_cast<std::size_t>(item)];
         if (slot >= 0) slot_rating[static_cast<std::size_t>(slot)] = rating;
-        // Bounded insertion in recsys::PrefersEntry order. The row arrives
-        // in ascending item order, so an earlier entry wins every rating
-        // tie and comparing ratings alone gives the same order.
-        std::size_t pos = top.size();
-        if (pos == k_size) {
-          if (rating <= top.back().rating) return;
-          --pos;
-        } else {
-          top.emplace_back();
-        }
-        for (; pos > 0 && top[pos - 1].rating < rating; --pos) {
-          top[pos] = top[pos - 1];
-        }
-        top[pos] = {item, rating};
+        recsys::InsertTopK(top, k_size, item, rating);
       });
 
       // MeanPerUserSatisfaction and the DCG half of UserNdcg, in list

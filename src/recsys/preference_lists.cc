@@ -20,16 +20,13 @@ std::vector<data::RatingEntry> FullPreferenceList(
 std::vector<data::RatingEntry> TopKList(const data::RatingStore& store,
                                         UserId user, int k) {
   GF_CHECK_GT(k, 0);
+  const auto k_size = static_cast<std::size_t>(k);
   std::vector<data::RatingEntry> list;
-  list.reserve(static_cast<std::size_t>(store.NumRatingsOf(user)));
-  store.VisitRow(user, [&list](ItemId item, Rating rating) {
-    list.push_back({item, rating});
+  list.reserve(std::min<std::size_t>(
+      k_size, static_cast<std::size_t>(store.NumRatingsOf(user))));
+  store.VisitRow(user, [&list, k_size](ItemId item, Rating rating) {
+    InsertTopK(list, k_size, item, rating);
   });
-  const std::size_t keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), list.size());
-  std::partial_sort(list.begin(), list.begin() + keep, list.end(),
-                    PrefersEntry);
-  list.resize(keep);
   return list;
 }
 

@@ -1,4 +1,4 @@
-// Remaining common utilities: hashing, logging severity, stopwatch.
+// Remaining common utilities: hashing, check failures, stopwatch.
 #include <set>
 #include <thread>
 
@@ -38,16 +38,6 @@ TEST(Hash, VectorHashSeparatesNearbySequences) {
             HashVector(std::vector<int>{0}));
 }
 
-TEST(Logging, SeverityThresholdFilters) {
-  const LogSeverity old_severity = MinLogSeverity();
-  SetMinLogSeverity(LogSeverity::kError);
-  EXPECT_EQ(MinLogSeverity(), LogSeverity::kError);
-  // INFO below threshold: must not crash, output suppressed.
-  GF_LOG(INFO) << "suppressed";
-  GF_LOG(ERROR) << "emitted (expected in test output)";
-  SetMinLogSeverity(old_severity);
-}
-
 TEST(Logging, CheckMacrosPassOnTrueConditions) {
   GF_CHECK(true);
   GF_CHECK_EQ(2 + 2, 4);
@@ -55,6 +45,13 @@ TEST(Logging, CheckMacrosPassOnTrueConditions) {
   GF_CHECK_GE(2, 2);
   // A failing GF_CHECK aborts the process.
   EXPECT_DEATH(GF_CHECK_EQ(1, 2), "Check failed");
+}
+
+TEST(Logging, FailedCheckNamesFileLineConditionAndContext) {
+  // The one line a failed check prints before it aborts.
+  EXPECT_DEATH(GF_CHECK(1 > 2) << "context " << 7,
+               "\\[F util_test\\.cc:[0-9]+\\] "
+               "Check failed: 1 > 2 context 7");
 }
 
 TEST(Stopwatch, MeasuresElapsedTimeMonotonically) {

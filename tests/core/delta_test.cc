@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/status.h"
 #include "core/solver.h"
 #include "data/rating_matrix.h"
@@ -166,6 +167,150 @@ TEST(MaterializeDeltas, PureRemovalMatchesSubsetUsers) {
     EXPECT_TRUE(std::ranges::equal(epoch->RatingsOf(u),
                                    subset->RatingsOf(u)))
         << "user " << u;
+  }
+}
+
+/// The slow reference: every base cell and then every overlay through the
+/// builder (a duplicate keeps the last value), then SubsetUsers.
+common::StatusOr<data::RatingMatrix> MaterializeThroughBuilder(
+    const data::RatingMatrix& base, const AppliedDeltas& applied) {
+  data::RatingMatrixBuilder builder(base.num_users(), base.num_items(),
+                                    base.scale());
+  for (UserId u = 0; u < base.num_users(); ++u) {
+    for (const data::RatingEntry& entry : base.RatingsOf(u)) {
+      GF_RETURN_IF_ERROR(builder.AddRating(u, entry.item, entry.rating));
+    }
+  }
+  for (const AppliedDeltas::Overlay& overlay : applied.overlays) {
+    GF_RETURN_IF_ERROR(
+        builder.AddRating(overlay.user, overlay.item, overlay.rating));
+  }
+  return std::move(builder).Build().SubsetUsers(applied.active_users);
+}
+
+void ExpectSameMatrix(const data::RatingMatrix& a,
+                      const data::RatingMatrix& b) {
+  ASSERT_EQ(a.num_users(), b.num_users());
+  EXPECT_EQ(a.num_items(), b.num_items());
+  EXPECT_EQ(a.scale(), b.scale());
+  EXPECT_EQ(a.num_ratings(), b.num_ratings());
+  for (UserId u = 0; u < a.num_users(); ++u) {
+    EXPECT_TRUE(std::ranges::equal(a.RatingsOf(u), b.RatingsOf(u)))
+        << "user " << u;
+  }
+}
+
+TEST(MaterializeDeltas, EqualsTheBuilderPathOnRandomSequences) {
+  // Sparse rows with gaps (every fourth row empty), so rerates land
+  // before, between and after a row's items; rerates back to the base
+  // value; rerates of users removed later; remove -> re-add round trips.
+  constexpr std::int32_t kUsers = 24;
+  constexpr std::int32_t kItems = 12;
+  int effective = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(seed);
+    data::RatingMatrixBuilder builder(kUsers, kItems, data::RatingScale{});
+    for (UserId u = 0; u < kUsers; ++u) {
+      if (u % 4 == 0) continue;
+      for (ItemId item = 0; item < kItems; ++item) {
+        if (rng.Bernoulli(0.3)) {
+          ASSERT_TRUE(builder
+                          .AddRating(u, item,
+                                     static_cast<double>(rng.UniformInt(1, 5)))
+                          .ok());
+        }
+      }
+    }
+    const data::RatingMatrix base = std::move(builder).Build();
+    std::vector<char> active(kUsers, 1);
+    std::vector<PopulationDelta> deltas;
+    const int length = static_cast<int>(rng.UniformInt(1, 40));
+    while (static_cast<int>(deltas.size()) < length) {
+      const auto user = static_cast<UserId>(rng.UniformInt(0, kUsers - 1));
+      const char is_active = active[static_cast<std::size_t>(user)];
+      const std::int64_t pick = rng.UniformInt(0, 9);
+      if (!is_active) {
+        deltas.push_back({Kind::kAddUser, user});
+        active[static_cast<std::size_t>(user)] = 1;
+      } else if (pick < 2) {
+        deltas.push_back({Kind::kRemoveUser, user});
+        active[static_cast<std::size_t>(user)] = 0;
+      } else {
+        const auto item = static_cast<ItemId>(rng.UniformInt(0, kItems - 1));
+        const auto existing = base.GetRating(user, item);
+        const double rating =
+            existing.has_value() && pick < 4
+                ? *existing
+                : static_cast<double>(rng.UniformInt(1, 5));
+        deltas.push_back({Kind::kRerate, user, item, rating});
+      }
+    }
+    if (std::count(active.begin(), active.end(), 1) == 0) continue;
+    const auto applied = ApplyDeltas(base, deltas);
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    if (!applied->overlays.empty()) ++effective;
+    const auto epoch = MaterializeDeltas(base, *applied);
+    ASSERT_TRUE(epoch.ok()) << epoch.status();
+    const auto reference = MaterializeThroughBuilder(base, *applied);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ExpectSameMatrix(*epoch, *reference);
+  }
+  EXPECT_GE(effective, 40);
+}
+
+TEST(MaterializeDeltas, OverlayPlacementAndRemovedUsers) {
+  // User 1's row holds items 2 and 5: overlays land before (0), on (2),
+  // between (3) and after (7) them. User 2 is rerated, then removed; user
+  // 3 is removed, re-added and rerated back to its base value; user 4
+  // rates nothing and gains one cell.
+  data::RatingMatrixBuilder builder(5, 8, data::RatingScale{});
+  ASSERT_TRUE(builder.AddRating(1, 2, 2.0).ok());
+  ASSERT_TRUE(builder.AddRating(1, 5, 4.0).ok());
+  ASSERT_TRUE(builder.AddRating(2, 1, 3.0).ok());
+  ASSERT_TRUE(builder.AddRating(3, 6, 1.0).ok());
+  const data::RatingMatrix base = std::move(builder).Build();
+  const std::vector<PopulationDelta> deltas = {
+      {Kind::kRerate, 1, 7, 1.0}, {Kind::kRerate, 1, 0, 5.0},
+      {Kind::kRerate, 1, 3, 3.0}, {Kind::kRerate, 1, 2, 4.0},
+      {Kind::kRerate, 2, 4, 5.0}, {Kind::kRemoveUser, 2},
+      {Kind::kRemoveUser, 3},     {Kind::kAddUser, 3},
+      {Kind::kRerate, 3, 6, 1.0}, {Kind::kRerate, 4, 0, 2.0},
+  };
+  const auto applied = ApplyDeltas(base, deltas);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  const auto epoch = MaterializeDeltas(base, *applied);
+  ASSERT_TRUE(epoch.ok()) << epoch.status();
+  const auto reference = MaterializeThroughBuilder(base, *applied);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ExpectSameMatrix(*epoch, *reference);
+  // Users {0, 1, 3, 4} re-indexed to {0, 1, 2, 3}.
+  const std::vector<data::RatingEntry> row1 = {
+      {0, 5.0}, {2, 4.0}, {3, 3.0}, {5, 4.0}, {7, 1.0}};
+  EXPECT_TRUE(std::ranges::equal(epoch->RatingsOf(1), row1));
+  EXPECT_EQ(epoch->NumRatingsOf(2), 1);
+  EXPECT_EQ(epoch->GetRatingOr(3, 0, -1.0), 2.0);
+}
+
+TEST(MaterializeDeltas, RejectsFoldsOutOfOrder) {
+  data::RatingMatrixBuilder builder(3, 4, data::RatingScale{});
+  ASSERT_TRUE(builder.AddRating(0, 1, 2.0).ok());
+  const data::RatingMatrix base = std::move(builder).Build();
+  AppliedDeltas unsorted_users;
+  unsorted_users.active_users = {2, 0};
+  unsorted_users.overlays = {{0, 0, 3.0}};
+  AppliedDeltas unsorted_overlays;
+  unsorted_overlays.active_users = {0, 1, 2};
+  unsorted_overlays.overlays = {{1, 0, 3.0}, {0, 3, 3.0}};
+  AppliedDeltas out_of_range;
+  out_of_range.active_users = {0, 3};
+  out_of_range.overlays = {{0, 0, 3.0}};
+  for (const AppliedDeltas* applied :
+       {&unsorted_users, &unsorted_overlays, &out_of_range}) {
+    const auto epoch = MaterializeDeltas(base, *applied);
+    ASSERT_FALSE(epoch.ok());
+    EXPECT_EQ(epoch.status().code(), common::StatusCode::kInvalidArgument)
+        << epoch.status();
   }
 }
 

@@ -3,10 +3,11 @@
 // FullySatisfiedFraction): every field compared with ==, because serve
 // renders the metrics at full precision. The matrix covers every registry
 // solver × LM/AV × Min/Max/Sum × the three missing-rating policies ×
-// candidate depth 0 and > 0 on the dense and compact backends, over
-// seeded random instances whose rows include empty ones and ones shorter
-// than k. Hand-built results cover the empty result, lists shorter and
-// longer than k, repeated and unrated list items, and empty groups.
+// candidate depth 0 and > 0 on the dense backend and the 16- and 8-bit
+// compact backends, over seeded random instances whose rows include empty
+// ones and ones shorter than k. Hand-built results cover the empty result,
+// lists shorter and longer than k, repeated and unrated list items, and
+// empty groups.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,13 +92,15 @@ constexpr MissingRatingPolicy kPolicies[] = {MissingRatingPolicy::kScaleMin,
 TEST(ResponseMetrics, EqualsTheOracleForEverySolverAndKnob) {
   solvers::EnsureBuiltinSolversRegistered();
   const auto& registry = core::SolverRegistry::Global();
-  // One seeded instance per backend; the compact one is 16-bit, so its
-  // continuous ratings land on the quantization grid.
+  // One seeded instance per backend; on the compact ones the continuous
+  // ratings land on the 16-bit or the coarser 8-bit quantization grid.
   const data::RatingMatrix dense = RandomMatrix(9, 8, 6, /*seed=*/11);
-  const data::CompactRatingMatrix compact =
+  const data::CompactRatingMatrix compact16 =
       data::CompactRatingMatrix::FromMatrix(RandomMatrix(9, 8, 6, 12), 16);
+  const data::CompactRatingMatrix compact8 =
+      data::CompactRatingMatrix::FromMatrix(RandomMatrix(9, 8, 6, 13), 8);
   int solves = 0;
-  for (const bool on_compact : {false, true}) {
+  for (const int bits : {0, 16, 8}) {
     for (const std::string& name : registry.Names()) {
       for (const Semantics semantics :
            {Semantics::kLeastMisery, Semantics::kAggregateVoting}) {
@@ -106,10 +109,10 @@ TEST(ResponseMetrics, EqualsTheOracleForEverySolverAndKnob) {
           for (const MissingRatingPolicy missing : kPolicies) {
             for (const int depth : {0, 3}) {
               FormationProblem problem;
-              if (on_compact) {
-                problem.compact = &compact;
-              } else {
+              if (bits == 0) {
                 problem.matrix = &dense;
+              } else {
+                problem.compact = bits == 16 ? &compact16 : &compact8;
               }
               problem.semantics = semantics;
               problem.aggregation = aggregation;
@@ -124,7 +127,7 @@ TEST(ResponseMetrics, EqualsTheOracleForEverySolverAndKnob) {
               SCOPED_TRACE(name + " " + problem.ToString() + " missing=" +
                            std::to_string(static_cast<int>(missing)) +
                            " depth=" + std::to_string(depth) +
-                           (on_compact ? " compact" : " dense"));
+                           " bits=" + std::to_string(bits));
               ExpectMatchesOracle(problem, *result);
               ++solves;
             }
@@ -133,7 +136,7 @@ TEST(ResponseMetrics, EqualsTheOracleForEverySolverAndKnob) {
       }
     }
   }
-  EXPECT_GE(solves, 2 * 11 * 2 * 3 * 3 * 2);
+  EXPECT_GE(solves, 3 * 11 * 2 * 3 * 3 * 2);
 }
 
 TEST(ResponseMetrics, EmptyResultIsAllZero) {
