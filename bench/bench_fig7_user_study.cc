@@ -11,22 +11,22 @@
 // GF_BENCH_JSON=<dir> writes BENCH_fig7.json.
 #include <cstdio>
 
-#include "bench/bench_util.h"
+#include "common/strings.h"
 #include "common/table_printer.h"
+#include "eval/paper_sweeps.h"
 #include "eval/sweep_json.h"
 #include "grouprec/semantics.h"
 #include "userstudy/amt_simulator.h"
 
 int main() {
   using namespace groupform;
-  bench::PrintHeader(
+  const userstudy::AmtSimulator::Options options;
+  eval::PrintBenchHeader(
       "Figure 7: user study (simulated AMT)",
       "paper Fig. 7(a,b,c); 50 workers, 10 POIs, ell=3, samples of 10",
-      "GF_STUDY_SEED overrides the worker-pool seed");
+      common::StrFormat("worker-pool seed %llu",
+                        static_cast<unsigned long long>(options.seed)));
 
-  userstudy::AmtSimulator::Options options;
-  options.seed = static_cast<std::uint64_t>(
-      bench::EnvScale("GF_STUDY_SEED", 2015));
   const userstudy::AmtSimulator simulator(options);
   const auto study = simulator.Run();
   if (!study.ok()) {

@@ -29,11 +29,11 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
+#include "eval/paper_sweeps.h"
 #include "eval/sweep_json.h"
 #include "fleet/broker.h"
 #include "fleet/transport.h"
@@ -255,8 +255,14 @@ FleetRow RunRow(int num_workers, serve::WireClient::Wire wire, bool batch,
 }  // namespace
 
 int main() {
+  const auto scale_or = eval::BenchScale();
+  if (!scale_or.ok()) {
+    std::fprintf(stderr, "%s\n", scale_or.status().ToString().c_str());
+    return 2;
+  }
+  const double scale = *scale_or;
   solvers::EnsureBuiltinSolversRegistered();
-  bench::PrintHeader(
+  eval::PrintBenchHeader(
       "fleet_scaling", "DESIGN.md §16 (broker fleet, affinity routing)",
       "requests/second and round-trip p50/p99 through the broker tier at "
       "1/2/4 workers, newline-JSON vs GFB1 binary on both hops, single "
@@ -265,8 +271,7 @@ int main() {
       "budget but fits the fleet's aggregate, so the rows price what "
       "affinity routing buys");
 
-  const double scale = bench::BenchScale();
-  const int requests_per_row = bench::Scaled(1500, scale, /*floor=*/128);
+  const int requests_per_row = eval::Scaled(1500, scale, /*floor=*/128);
   const std::vector<std::string> lines = BenchRequestLines();
 
   std::vector<FleetRow> rows;

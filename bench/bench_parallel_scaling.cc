@@ -18,14 +18,15 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/hash.h"
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "core/formation.h"
 #include "data/synthetic.h"
 #include "eval/experiment.h"
+#include "eval/paper_sweeps.h"
 #include "eval/sweep_json.h"
 #include "grouprec/semantics.h"
 
@@ -81,12 +82,17 @@ std::size_t ResultFingerprint(const core::FormationResult& result) {
 }  // namespace
 
 int main() {
-  const double scale = bench::BenchScale();
+  const auto scale_or = eval::BenchScale();
+  if (!scale_or.ok()) {
+    std::fprintf(stderr, "%s\n", scale_or.status().ToString().c_str());
+    return 2;
+  }
+  const double scale = *scale_or;
   const auto num_users =
-      static_cast<std::int32_t>(bench::Scaled(2000, scale));
-  const int num_groups = static_cast<int>(bench::Scaled(256, scale));
+      static_cast<std::int32_t>(eval::Scaled(2000, scale));
+  const int num_groups = static_cast<int>(eval::Scaled(256, scale));
   const int rounds = 3;
-  bench::PrintHeader(
+  eval::PrintBenchHeader(
       "Parallel scaling: batch scoring and repeated runs vs threads",
       "beyond the paper — DESIGN.md §10 execution engine",
       common::StrFormat("MovieLens-like n=%d m=500, %d groups rescored "
@@ -102,7 +108,7 @@ int main() {
   // A separate, smaller instance for the localsearch pass loop: each pass
   // already costs n x ell full-group evaluations, so the 2000-user
   // instance would dwarf the other two workloads.
-  const auto ls_users = static_cast<std::int32_t>(bench::Scaled(240, scale));
+  const auto ls_users = static_cast<std::int32_t>(eval::Scaled(240, scale));
   const int ls_passes = 3;
   const auto ls_matrix = data::GenerateLatentFactor(
       data::MovieLensLikeConfig(ls_users, 120, /*seed=*/43));

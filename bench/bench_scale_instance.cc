@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
@@ -32,6 +31,7 @@
 #include "data/compact_matrix.h"
 #include "data/rating_store.h"
 #include "data/synthetic.h"
+#include "eval/paper_sweeps.h"
 #include "eval/sweep_json.h"
 #include "grouprec/group_scorer.h"
 
@@ -136,16 +136,21 @@ struct BackendRow {
 }  // namespace
 
 int main() {
-  bench::PrintHeader(
+  const auto scale_or = eval::BenchScale();
+  if (!scale_or.ok()) {
+    std::fprintf(stderr, "%s\n", scale_or.status().ToString().c_str());
+    return 2;
+  }
+  const double scale = *scale_or;
+  eval::PrintBenchHeader(
       "scale_instance", "DESIGN.md §14 (storage backends)",
       "bytes/user, load time, and TopKAllItems cost of the "
       "dense, compact, and mmap backends on a GenerateScaleSparse "
       "population; GF_BENCH_SCALE 1.0 = one million users");
 
-  const double scale = bench::BenchScale();
   data::ScaleConfig config;
-  config.num_users = bench::Scaled(1'000'000, scale, /*floor=*/1000);
-  config.num_items = bench::Scaled(20'000, scale, /*floor=*/500);
+  config.num_users = eval::Scaled(1'000'000, scale, /*floor=*/1000);
+  config.num_items = eval::Scaled(20'000, scale, /*floor=*/500);
   if (config.num_items > 65535) config.num_items = 65535;
   // A top-k costs microseconds, so many reps keep the timer resolution
   // out of the per-group figure.

@@ -26,11 +26,11 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
+#include "eval/paper_sweeps.h"
 #include "eval/sweep_json.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -168,16 +168,21 @@ LoadRow MedianRow(std::vector<LoadRow> rounds) {
 }  // namespace
 
 int main() {
+  const auto scale_or = eval::BenchScale();
+  if (!scale_or.ok()) {
+    std::fprintf(stderr, "%s\n", scale_or.status().ToString().c_str());
+    return 2;
+  }
+  const double scale = *scale_or;
   solvers::EnsureBuiltinSolversRegistered();
-  bench::PrintHeader(
+  eval::PrintBenchHeader(
       "serve_load", "DESIGN.md §15 (wire framing + batch envelopes)",
       "requests/second and round-trip p50/p99 of the TCP front-end: "
       "newline-JSON vs GFB1 binary, single RPCs vs batch envelopes of "
       "32, at 1/2/8 pool threads; solves are small and cached so the "
       "protocol overhead dominates");
 
-  const double scale = bench::BenchScale();
-  const int requests_per_row = bench::Scaled(2000, scale, /*floor=*/64);
+  const int requests_per_row = eval::Scaled(2000, scale, /*floor=*/64);
   const std::string line = BenchRequestLine();
 
   constexpr auto kJson = serve::WireClient::Wire::kJson;

@@ -5,17 +5,23 @@
 // reproducible. GF_BENCH_JSON=<dir> writes BENCH_table3.json.
 #include <cstdio>
 
-#include "bench/bench_util.h"
+#include "common/strings.h"
 #include "common/table_printer.h"
 #include "data/dataset_stats.h"
 #include "data/synthetic.h"
+#include "eval/paper_sweeps.h"
 #include "eval/sweep_json.h"
 
 int main() {
   using namespace groupform;
 
-  const double scale = bench::BenchScale();
-  bench::PrintHeader(
+  const auto scale_or = eval::BenchScale();
+  if (!scale_or.ok()) {
+    std::fprintf(stderr, "%s\n", scale_or.status().ToString().c_str());
+    return 2;
+  }
+  const double scale = *scale_or;
+  eval::PrintBenchHeader(
       "Table 3: dataset descriptions",
       "paper: Yahoo! Music 200,000 x 136,736; MovieLens 71,567 x 10,681",
       common::StrFormat("synthetic stand-ins at GF_BENCH_SCALE=%.2f "
@@ -23,9 +29,9 @@ int main() {
                         scale));
 
   const auto yahoo_config = data::YahooMusicLikeConfig(
-      bench::Scaled(25'000, scale), bench::Scaled(17'000, scale));
+      eval::Scaled(25'000, scale), eval::Scaled(17'000, scale));
   const auto movielens_config = data::MovieLensLikeConfig(
-      bench::Scaled(9'000, scale), bench::Scaled(1'400, scale));
+      eval::Scaled(9'000, scale), eval::Scaled(1'400, scale));
 
   common::TablePrinter table({"dataset", "# users", "# items", "# ratings",
                               "density", "mean rating"});

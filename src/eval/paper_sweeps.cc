@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <future>
 #include <map>
@@ -47,28 +46,22 @@ core::FormationProblem QualityProblem(Semantics semantics,
   return problem;
 }
 
+/// The scalability suites' user budgets: the baseline (truncated-Kendall
+/// settings) and every non-GRD solver.
+constexpr std::int64_t kScalBaselineUserCap = 5000;
+constexpr std::int64_t kScalOtherUserCap = 1000;
+
 /// The scalability suites' budget policy (fig4/5/6): GRD is the paper's
 /// scalable contribution and runs uncapped; the baseline runs to
-/// GF_BASELINE_CAP users (5000) with the truncated-Kendall settings; every
-/// other (present or future) registry solver is budgeted at GF_SCAL_CAP
-/// users (1000) so a slow new solver degrades to DNF rows instead of
-/// hanging the bench — the paper's own "do not terminate ... and are thus
-/// omitted" policy.
+/// kScalBaselineUserCap users with the truncated-Kendall settings; every
+/// other (present or future) registry solver is budgeted at
+/// kScalOtherUserCap users so a slow new solver degrades to DNF rows
+/// instead of hanging the sweep — the paper's own "do not terminate ...
+/// and are thus omitted" policy.
 void ApplyScalabilityPolicy(SweepSpec& spec) {
-  // Unlike EnvScale, a cap accepts 0 — the caps' documented "unlimited".
-  const auto env_cap = [](const char* name,
-                          std::int64_t fallback) -> std::int64_t {
-    const char* value = std::getenv(name);
-    if (value == nullptr) return fallback;
-    long long parsed = 0;
-    if (!common::ParseInt64(value, &parsed) || parsed < 0) return fallback;
-    return parsed;
-  };
-  const std::int64_t baseline_cap = env_cap("GF_BASELINE_CAP", 5000);
-  const std::int64_t scal_cap = env_cap("GF_SCAL_CAP", 1000);
-  spec.default_user_cap = scal_cap;
+  spec.default_user_cap = kScalOtherUserCap;
   spec.default_group_cap = 100;
-  spec.user_caps = {{"greedy", 0}, {"baseline", baseline_cap}};
+  spec.user_caps = {{"greedy", 0}, {"baseline", kScalBaselineUserCap}};
   spec.group_caps = {{"greedy", 0}, {"baseline", 100}};
   spec.solver_options["baseline"] = core::SolverOptions()
                                         .Set("kendall_truncate", "20")
@@ -88,9 +81,9 @@ using MatrixPtr = std::shared_ptr<const data::RatingMatrix>;
 /// configuration. Suites reuse one matrix across rows, panels, and
 /// repetitions (fig5's 16 cells share a single multi-second generation,
 /// as the hand-rolled benches did); generation is deduplicated even when
-/// parallel rows race on the same key. Entries live for the process — a
-/// bench binary runs one suite, so the cache peaks at that suite's
-/// distinct shapes.
+/// parallel rows race on the same key. Entries live for the process, so
+/// the cache peaks at one suite's distinct shapes (every suite's under
+/// `groupform_cli sweep all`).
 MatrixPtr CachedMatrix(const std::string& key,
                        const std::function<data::RatingMatrix()>& generate) {
   static std::mutex mu;
@@ -150,6 +143,9 @@ SweepMetric AvgGroupSatisfactionMetric() {
           }};
 }
 
+/// Fig. 1: GRD, Baseline and OPT* are the paper's trio; every other
+/// registered solver joins, and the exact references report DNF beyond
+/// their instance budgets, as the paper omits its CPLEX OPT at this size.
 SweepSuite MakeFig1(double scale) {
   SweepSuite suite;
   suite.name = "fig1";
@@ -213,6 +209,8 @@ SweepSuite MakeFig1(double scale) {
   return suite;
 }
 
+/// Fig. 2: the Min objective falls with k because the bottom item only
+/// gets worse; the Sum objective rises with diminishing increments.
 SweepSuite MakeFig2() {
   SweepSuite suite;
   suite.name = "fig2";
@@ -251,6 +249,8 @@ SweepSuite MakeFig2() {
   return suite;
 }
 
+/// Fig. 3: GRD-AV-MIN optimises only the bottom item, yet satisfaction
+/// over the whole list stays near the ceiling.
 SweepSuite MakeFig3() {
   SweepSuite suite;
   suite.name = "fig3";
@@ -321,6 +321,12 @@ SweepSuite MakeFig3() {
 }
 
 /// Fig. 4 (LM) and Fig. 6 (AV) share axes; only the semantics differ.
+/// The paper reports minutes at n=100k; these report seconds at
+/// GF_BENCH_SCALE. Shapes to reproduce: GRD linear in n and ell and flat
+/// in m; the baseline non-linear in n and sensitive to m. GRD-AV runs
+/// slightly slower than GRD-LM (per-group score aggregation over every
+/// member), while the baseline matches across the two figures because
+/// its clustering ignores the semantics.
 SweepSuite MakeScalabilitySuite(const std::string& name, Semantics semantics,
                                 double scale) {
   SweepSuite suite;
@@ -333,10 +339,11 @@ SweepSuite MakeScalabilitySuite(const std::string& name, Semantics semantics,
       "paper Fig. %s(a,b,c); paper scale n=100k m=10k ell=10 k=5",
       name == "fig4" ? "4" : "6");
   suite.notes = common::StrFormat(
-      "GF_BENCH_SCALE=%.2f; GRD uncapped, baseline to GF_BASELINE_CAP "
-      "users (truncated Kendall profiles), other solvers to GF_SCAL_CAP "
-      "users; over-budget cells report DNF",
-      scale);
+      "GF_BENCH_SCALE=%.2f; GRD uncapped, baseline to %lld users "
+      "(truncated Kendall profiles), other solvers to %lld users; "
+      "over-budget cells report DNF",
+      scale, static_cast<long long>(kScalBaselineUserCap),
+      static_cast<long long>(kScalOtherUserCap));
   const std::string suffix = SeriesSuffix(semantics, Aggregation::kMin);
 
   SweepSpec a;
@@ -391,6 +398,9 @@ SweepSuite MakeScalabilitySuite(const std::string& name, Semantics semantics,
   return suite;
 }
 
+/// Fig. 5: GRD is only mildly sensitive to k (only the residual group's
+/// list depends on it); baseline times are dominated by clustering and
+/// similar across semantics.
 SweepSuite MakeFig5(double scale) {
   SweepSuite suite;
   suite.name = "fig5";
@@ -492,6 +502,9 @@ SweepSuite MakeTable4() {
   return suite;
 }
 
+/// Ablation of the greedy's residual candidate depth (not a paper figure),
+/// so the only series is GRD. Expected: the objective is almost
+/// insensitive to depth while the time saved at scale is substantial.
 SweepSuite MakeAblation(double scale) {
   SweepSuite suite;
   suite.name = "ablation";
@@ -533,6 +546,9 @@ SweepSuite MakeAblation(double scale) {
   return suite;
 }
 
+/// Every registered formation algorithm on one quality instance per
+/// (semantics, aggregation): a solver registered tomorrow appears here
+/// with zero edits.
 SweepSuite MakeBaselinePanorama() {
   SweepSuite suite;
   suite.name = "baseline";
@@ -586,9 +602,10 @@ SweepMetric PassesMetric() {
 /// The serving layer's perf trajectory (DESIGN.md §13, not a paper
 /// figure): a fixed cumulative delta script against one quality matrix,
 /// one sweep per epoch, comparing OPT*-LS cold (full re-solve of the
-/// post-delta instance) against OPT*-LS warm-started from the previous
-/// epoch's solution, exactly as `groupform.delta/1` folds warm starts
-/// forward. The warm chain is computed here, eagerly, with the same
+/// post-delta instance, what a client pays re-sending
+/// groupform.request/1 after every population change) against OPT*-LS
+/// warm-started from the previous epoch's solution, exactly as
+/// `groupform.delta/1` folds warm starts forward. The warm chain is computed here, eagerly, with the same
 /// AdaptAssignment carry the session uses, so the suite's warm series
 /// reproduce the server's trajectory bit-for-bit. BENCH_delta_vs_resolve
 /// .json snapshots the pass counts (bench/snapshots/).
@@ -708,7 +725,8 @@ SweepMetric FloorViolationsMetric() {
 /// floor. Every panel carries the plain greedy series on the *same*
 /// constrained instance — greedy ignores problem.constraints, so its
 /// objective is the unconstrained upper reference the snapshot validator
-/// gates the constrained series against (tools/validate_bench_json.py).
+/// gates the constrained series against (tools/validate_bench_json.py;
+/// snapshot in bench/snapshots/BENCH_constrained_ablation.json).
 SweepSuite MakeConstrainedAblation(double scale) {
   SweepSuite suite;
   suite.name = "constrained_ablation";
@@ -836,7 +854,7 @@ std::vector<std::string> PaperSuiteNames() {
 }
 
 common::StatusOr<SweepSuite> MakePaperSuite(const std::string& name) {
-  const double scale = BenchScale();
+  GF_ASSIGN_OR_RETURN(const double scale, BenchScale());
   if (name == "fig1") return MakeFig1(scale);
   if (name == "fig2") return MakeFig2();
   if (name == "fig3") return MakeFig3();
@@ -857,15 +875,18 @@ common::StatusOr<SweepSuite> MakePaperSuite(const std::string& name) {
       common::Join(PaperSuiteNames(), ", "));
 }
 
-int RunPaperSuiteMain(const std::string& name) {
-  const auto suite = MakePaperSuite(name);
+int RunPaperSuiteMain(const std::string& name,
+                      const std::vector<std::string>& solvers,
+                      const std::string& json_dir) {
+  auto suite = MakePaperSuite(name);
   if (!suite.ok()) {
     std::fprintf(stderr, "%s\n", suite.status().ToString().c_str());
     return 2;
   }
   PrintBenchHeader(suite->title, suite->paper_ref, suite->notes);
   std::vector<SweepResult> results;
-  for (const auto& spec : suite->specs) {
+  for (auto& spec : suite->specs) {
+    spec.solvers = solvers;
     auto result = RunSweep(spec);
     if (!result.ok()) {
       std::fprintf(stderr, "sweep %s: %s\n", spec.name.c_str(),
@@ -887,8 +908,8 @@ int RunPaperSuiteMain(const std::string& name) {
     }
     results.push_back(std::move(*result));
   }
-  if (EmitBenchJson(suite->name, SweepSuiteToJson(suite->name, results)) !=
-      0) {
+  if (EmitBenchJson(suite->name, SweepSuiteToJson(suite->name, results),
+                    json_dir) != 0) {
     return 1;
   }
   return SweepSuiteExitCode(results);

@@ -1,6 +1,8 @@
 #include "eval/sweep.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -14,30 +16,16 @@ namespace groupform::eval {
 
 namespace {
 
-std::vector<std::string>& SolverFilter() {
-  static auto* filter = new std::vector<std::string>();
-  return *filter;
-}
-
-/// Comma-separated solver names from GF_SOLVERS; empty when unset.
-std::vector<std::string> EnvSolverFilter() {
-  const char* value = std::getenv("GF_SOLVERS");
-  if (value == nullptr) return {};
-  std::vector<std::string> names;
-  for (const auto& piece : common::Split(value, ',')) {
-    const auto trimmed = common::Trim(piece);
-    if (!trimmed.empty()) names.emplace_back(trimmed);
-  }
-  return names;
-}
-
 /// GF_BENCH_REPS overrides every spec's repetitions (CI smoke runs use 1).
-int EffectiveRepetitions(int spec_repetitions) {
+common::StatusOr<int> EffectiveRepetitions(int spec_repetitions) {
   const char* value = std::getenv("GF_BENCH_REPS");
   if (value == nullptr) return spec_repetitions;
   long long parsed = 0;
-  if (!common::ParseInt64(value, &parsed) || parsed < 1) {
-    return spec_repetitions;
+  if (!common::ParseInt64(value, &parsed) || parsed < 1 ||
+      parsed > std::numeric_limits<int>::max()) {
+    return common::Status::InvalidArgument(
+        std::string("GF_BENCH_REPS must be a positive integer, got '") +
+        value + "'");
   }
   return static_cast<int>(parsed);
 }
@@ -65,7 +53,8 @@ SweepSeries ResolveSeries(const SweepSpec& spec, SweepSeries series) {
   return series;
 }
 
-/// The expanded column list: explicit series, else one per default solver.
+/// The expanded column list: explicit series, else one per `solvers`
+/// name, else one per registered solver.
 std::vector<SweepSeries> ExpandSeries(const SweepSpec& spec) {
   std::vector<SweepSeries> expanded;
   if (!spec.series.empty()) {
@@ -74,7 +63,12 @@ std::vector<SweepSeries> ExpandSeries(const SweepSpec& spec) {
     }
     return expanded;
   }
-  for (const auto& name : DefaultSweepSolvers()) {
+  solvers::EnsureBuiltinSolversRegistered();
+  const std::vector<std::string> names =
+      spec.solvers.empty()
+          ? OrderSolversForDisplay(core::SolverRegistry::Global().Names())
+          : spec.solvers;
+  for (const auto& name : names) {
     SweepSeries series;
     series.solver = name;
     const auto it = spec.solver_options.find(name);
@@ -222,18 +216,6 @@ bool SweepResult::all_ok() const {
   return true;
 }
 
-std::vector<std::string> DefaultSweepSolvers() {
-  solvers::EnsureBuiltinSolversRegistered();
-  std::vector<std::string> filter = SolverFilter();
-  if (filter.empty()) filter = EnvSolverFilter();
-  if (!filter.empty()) return filter;  // typos surface as ERR(NOT_FOUND)
-  return OrderSolversForDisplay(core::SolverRegistry::Global().Names());
-}
-
-void SetSweepSolverFilter(std::vector<std::string> names) {
-  SolverFilter() = std::move(names);
-}
-
 common::StatusOr<SweepResult> RunSweep(const SweepSpec& spec) {
   if (spec.xs.empty()) {
     return common::Status::InvalidArgument("sweep '" + spec.name +
@@ -243,7 +225,8 @@ common::StatusOr<SweepResult> RunSweep(const SweepSpec& spec) {
     return common::Status::InvalidArgument("sweep '" + spec.name +
                                            "': no instance factory");
   }
-  const int repetitions = EffectiveRepetitions(spec.repetitions);
+  GF_ASSIGN_OR_RETURN(const int repetitions,
+                      EffectiveRepetitions(spec.repetitions));
   if (repetitions < 1) {
     return common::Status::InvalidArgument("sweep '" + spec.name +
                                            "': repetitions < 1");
@@ -343,17 +326,18 @@ int SweepSuiteExitCode(const std::vector<SweepResult>& results) {
   return 0;
 }
 
-double EnvScale(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
+common::StatusOr<double> BenchScale() {
+  const char* value = std::getenv("GF_BENCH_SCALE");
+  if (value == nullptr) return 1.0;
   double parsed = 0.0;
-  if (!common::ParseDouble(value, &parsed) || parsed <= 0.0) {
-    return fallback;
+  if (!common::ParseDouble(value, &parsed) || !std::isfinite(parsed) ||
+      parsed <= 0.0) {
+    return common::Status::InvalidArgument(
+        std::string("GF_BENCH_SCALE must be a positive number, got '") +
+        value + "'");
   }
   return parsed;
 }
-
-double BenchScale() { return EnvScale("GF_BENCH_SCALE", 1.0); }
 
 std::int32_t Scaled(std::int32_t base, double scale, std::int32_t floor) {
   const auto scaled = static_cast<std::int32_t>(base * scale);

@@ -1,15 +1,15 @@
 #ifndef GROUPFORM_EVAL_SWEEP_H_
 #define GROUPFORM_EVAL_SWEEP_H_
 
-// The registry-driven sweep engine behind every figure/table bench and the
-// CLI's `sweep` subcommand (DESIGN.md §11). A SweepSpec declares the axes
-// of one paper panel — x values, solver series, metrics, repetitions — and
-// RunSweep expands the grid deterministically: series default to every
-// solver in core::SolverRegistry (filterable via GF_SOLVERS /
-// SetSweepSolverFilter), rows run in parallel on common::ThreadPool with
-// serial in-order aggregation, and the result renders as both an ASCII
-// table and a JSON document (sweep_json.h) that are byte-identical at
-// every thread count once wall-clock capture is off (DESIGN.md §10.3).
+// The registry-driven sweep engine behind the CLI's `sweep` subcommand
+// (DESIGN.md §11). A SweepSpec declares the axes of one paper panel — x
+// values, solver series, metrics, repetitions — and RunSweep expands the
+// grid deterministically: series default to every solver in
+// core::SolverRegistry (or the spec's `solvers` filter), rows run in
+// parallel on common::ThreadPool with serial in-order aggregation, and
+// the result renders as both an ASCII table and a JSON document
+// (sweep_json.h) that are byte-identical at every thread count once
+// wall-clock capture is off (DESIGN.md §10.3).
 
 #include <cstdint>
 #include <functional>
@@ -110,9 +110,14 @@ struct SweepSpec {
   /// Required: builds the per-cell problem instance.
   InstanceFactory make_instance;
   /// Explicit series; EMPTY means registry-driven — one series per
-  /// DefaultSweepSolvers(), so a newly registered solver appears in this
-  /// sweep with zero spec edits.
+  /// `solvers` entry, so a newly registered solver appears in this sweep
+  /// with zero spec edits.
   std::vector<SweepSeries> series;
+  /// The registry-driven expansion's solver names, in column order;
+  /// empty means every registered name in OrderSolversForDisplay order.
+  /// Unknown names are kept so typos fail loudly as ERR(NOT_FOUND).
+  /// Ignored when `series` is explicit (the CLI's --solvers lands here).
+  std::vector<std::string> solvers;
   /// Appended to derived series labels ("-LM-MAX").
   std::string series_suffix;
   /// Per-registry-name option overrides for registry-driven series (e.g.
@@ -128,7 +133,8 @@ struct SweepSpec {
   std::vector<SweepMetric> metrics;
   /// Runs per cell, averaged in index order ("the average of three
   /// runs"). The GF_BENCH_REPS environment variable overrides this for
-  /// every sweep in the process (CI smoke runs use 1).
+  /// every sweep in the process (CI smoke runs use 1); a value that is
+  /// not a positive integer fails RunSweep with INVALID_ARGUMENT.
   int repetitions = 1;
   /// When true, make_instance is re-invoked with each repetition index
   /// (fresh dataset per rep, Table 4's random samples); when false (the
@@ -198,7 +204,8 @@ struct SweepResult {
 };
 
 /// Expands and executes `spec`. Fails only on a malformed spec (no xs, no
-/// instance factory, no resolvable series, repetitions < 1); per-cell
+/// instance factory, no resolvable series, repetitions < 1) or a
+/// malformed GF_BENCH_REPS; per-cell
 /// solver failures are recorded in the cells, never thrown away — the
 /// silent -1.00 sentinel of the old benches is gone.
 ///
@@ -216,24 +223,11 @@ std::string RenderSweepTable(const SweepResult& result);
 /// Exit code for a suite of sweeps: 1 when any cell is ERR, else 0.
 int SweepSuiteExitCode(const std::vector<SweepResult>& results);
 
-/// The solver names a registry-driven spec expands to: the process-wide
-/// filter (SetSweepSolverFilter, else the comma-separated GF_SOLVERS
-/// environment variable) when present — unknown names are kept so typos
-/// fail loudly as ERR(NOT_FOUND) — else every registered name in
-/// OrderSolversForDisplay order.
-std::vector<std::string> DefaultSweepSolvers();
-
-/// Installs (or, with an empty vector, clears) the process-wide solver
-/// filter. The CLI's --solvers flag routes here; GF_SOLVERS is only
-/// consulted when no filter is installed.
-void SetSweepSolverFilter(std::vector<std::string> names);
-
-/// Reads a positive double from the environment, with a default.
-double EnvScale(const char* name, double fallback);
-
 /// Global size multiplier for the benches (GF_BENCH_SCALE; 1 = laptop
-/// defaults, the paper's full sizes need roughly 8).
-double BenchScale();
+/// defaults, the paper's full sizes need roughly 8). 1 when unset;
+/// INVALID_ARGUMENT naming the variable when it is set to anything but a
+/// positive number.
+common::StatusOr<double> BenchScale();
 
 /// n scaled, with a floor.
 std::int32_t Scaled(std::int32_t base, double scale,

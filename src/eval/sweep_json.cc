@@ -204,7 +204,9 @@ void AppendBenchEnvelope(JsonWriter& writer, const std::string& bench) {
   writer.Key("schema").String("groupform.bench/1");
   writer.Key("bench").String(bench);
   writer.Key("git_describe").String(GitDescribe());
-  writer.Key("gf_bench_scale").Number(BenchScale());
+  // A malformed GF_BENCH_SCALE has already failed every bench that
+  // scales; the rest (fig7, micro_core) run unscaled.
+  writer.Key("gf_bench_scale").Number(BenchScale().value_or(1.0));
   writer.Key("threads").Int(common::ThreadPool::Shared().num_threads());
   writer.Key("registry").BeginArray();
   for (const auto& name : core::SolverRegistry::Global().Names()) {
@@ -230,36 +232,31 @@ std::string SweepSuiteToJson(const std::string& bench,
   return w.str();
 }
 
-common::StatusOr<std::string> WriteBenchJson(const std::string& bench,
-                                             const std::string& json) {
+std::string BenchJsonDir() {
   const char* dir = std::getenv("GF_BENCH_JSON");
-  if (dir == nullptr || dir[0] == '\0') return std::string();
-  const std::string path =
-      std::string(dir) + "/BENCH_" + bench + ".json";
+  return dir == nullptr ? std::string() : std::string(dir);
+}
+
+int EmitBenchJson(const std::string& bench, const std::string& json,
+                  const std::string& dir) {
+  if (dir.empty()) return 0;
+  const std::string path = dir + "/BENCH_" + bench + ".json";
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
-    return common::Status::NotFound(
-        "cannot open " + path +
-        " for writing (does the GF_BENCH_JSON directory exist?)");
+    std::fprintf(stderr,
+                 "writing JSON: cannot open %s for writing (does the "
+                 "directory exist?)\n",
+                 path.c_str());
+    return 1;
   }
   const std::size_t written =
       std::fwrite(json.data(), 1, json.size(), file);
   const bool newline_ok = std::fputc('\n', file) != EOF;
-  const int close_rc = std::fclose(file);
-  if (written != json.size() || !newline_ok || close_rc != 0) {
-    return common::Status::DataLoss("short write to " + path);
-  }
-  return path;
-}
-
-int EmitBenchJson(const std::string& bench, const std::string& json) {
-  const auto path = WriteBenchJson(bench, json);
-  if (!path.ok()) {
-    std::fprintf(stderr, "writing JSON: %s\n",
-                 path.status().ToString().c_str());
+  if (std::fclose(file) != 0 || written != json.size() || !newline_ok) {
+    std::fprintf(stderr, "writing JSON: short write to %s\n", path.c_str());
     return 1;
   }
-  if (!path->empty()) std::printf("wrote %s\n", path->c_str());
+  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 

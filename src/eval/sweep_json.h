@@ -1,11 +1,11 @@
 #ifndef GROUPFORM_EVAL_SWEEP_JSON_H_
 #define GROUPFORM_EVAL_SWEEP_JSON_H_
 
-// Machine-readable rendering of sweep results (DESIGN.md §11.3). Every
-// figure/table bench (and `groupform_cli sweep`) emits one
-// `BENCH_<name>.json` document per run when the GF_BENCH_JSON environment
-// variable names a directory, so the perf trajectory is diffable across
-// PRs. The per-sweep document (SweepResultToJson) contains only
+// Machine-readable rendering of sweep results (DESIGN.md §11.3).
+// `groupform_cli sweep --json-dir DIR` and every other bench (when the
+// GF_BENCH_JSON environment variable names a directory) emit one
+// `BENCH_<name>.json` document per run, so the perf trajectory is
+// diffable across PRs. The per-sweep document (SweepResultToJson) contains only
 // determinism-contract fields when the spec's record_seconds is off —
 // byte-identical at every thread count — while the suite envelope
 // (SweepSuiteToJson) carries the environment: git describe,
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "eval/sweep.h"
 
 namespace groupform::eval {
@@ -82,17 +81,17 @@ void AppendBenchEnvelope(JsonWriter& writer, const std::string& bench);
 /// "unknown" when neither is available.
 std::string GitDescribe();
 
-/// Writes `json` to $GF_BENCH_JSON/BENCH_<bench>.json. Returns the path
-/// written, or "" when GF_BENCH_JSON is unset (emission disabled);
-/// fails when the directory is missing or unwritable.
-common::StatusOr<std::string> WriteBenchJson(const std::string& bench,
-                                             const std::string& json);
+/// $GF_BENCH_JSON, the directory the non-sweep benches write to; "" when
+/// unset.
+std::string BenchJsonDir();
 
-/// WriteBenchJson plus the bench binaries' standard reporting: prints
-/// "wrote <path>" on success, the status on stderr on failure. Returns
-/// the exit-code contribution — 0 when written or disabled, 1 on a
-/// write failure (a requested-but-missing document must fail the run).
-int EmitBenchJson(const std::string& bench, const std::string& json);
+/// Writes `json` to <dir>/BENCH_<bench>.json and prints "wrote <path>";
+/// an empty `dir` disables emission. Returns the exit-code contribution:
+/// 0 when written or disabled, 1 (with the reason on stderr) when the
+/// directory is missing or the write fails — a requested-but-missing
+/// document must fail the run.
+int EmitBenchJson(const std::string& bench, const std::string& json,
+                  const std::string& dir = BenchJsonDir());
 
 }  // namespace groupform::eval
 

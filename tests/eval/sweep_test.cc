@@ -62,10 +62,7 @@ SweepSpec SmallSpec() {
 class SweepTest : public ::testing::Test {
  protected:
   void SetUp() override { solvers::EnsureBuiltinSolversRegistered(); }
-  void TearDown() override {
-    eval::SetSweepSolverFilter({});
-    common::ThreadPool::SetDefaultThreadCount(0);
-  }
+  void TearDown() override { common::ThreadPool::SetDefaultThreadCount(0); }
 };
 
 TEST_F(SweepTest, GridExpandsRowMajorWithOptionVariants) {
@@ -100,8 +97,8 @@ TEST_F(SweepTest, GridExpandsRowMajorWithOptionVariants) {
 }
 
 TEST_F(SweepTest, RegistryDrivenSeriesHonourTheSolverFilter) {
-  eval::SetSweepSolverFilter({"localsearch", "greedy"});
   SweepSpec spec = SmallSpec();
+  spec.solvers = {"localsearch", "greedy"};
   spec.series_suffix = "-LM-MIN";
   const auto result = RunSweep(spec);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -287,9 +284,17 @@ TEST_F(SweepTest, GfBenchRepsOverridesSpecRepetitions) {
   spec.series = Series({"greedy"});
   setenv("GF_BENCH_REPS", "1", /*overwrite=*/1);
   const auto overridden = RunSweep(spec);
+  // A set-but-malformed value fails the run and names the variable
+  // instead of silently running the spec's repetitions.
+  setenv("GF_BENCH_REPS", "1,5", /*overwrite=*/1);
+  const auto malformed = RunSweep(spec);
   unsetenv("GF_BENCH_REPS");
   ASSERT_TRUE(overridden.ok()) << overridden.status();
   EXPECT_EQ(overridden->repetitions, 1);
+  EXPECT_EQ(malformed.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(malformed.status().message().find("GF_BENCH_REPS"),
+            std::string::npos)
+      << malformed.status();
   const auto plain = RunSweep(spec);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->repetitions, 3);

@@ -15,12 +15,12 @@
 // flags --deadline-ms and --user-cap apply to local runs too.
 //
 // Subcommands:
-//   sweep [SUITE|all]   run the paper's evaluation sweeps (the same
-//                       eval::SweepSpecs the bench binaries execute);
-//                       no SUITE lists the available suites.
+//   sweep [SUITE|all]   run the paper's evaluation sweeps
+//                       (eval/paper_sweeps.h); no SUITE lists the
+//                       available suites. GF_BENCH_SCALE scales the
+//                       instances, GF_BENCH_REPS overrides repetitions.
 //       --solvers A,B   restrict registry-driven sweeps to these solvers
-//                       (same effect as GF_SOLVERS)
-//       --json-dir DIR  write BENCH_<suite>.json there (sets GF_BENCH_JSON)
+//       --json-dir DIR  write BENCH_<suite>.json there
 //   request             send one groupform.request/1 line to a running
 //                       groupform_serverd (docs/PROTOCOL.md) and print the
 //                       response line. The request is assembled from the
@@ -96,7 +96,6 @@
 // not enforce it — exits 1 with the server's message.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -202,23 +201,16 @@ core::SolverOptions ParseSolverOptions(const common::FlagParser& flags) {
   return options;
 }
 
-/// The `sweep` subcommand: run the shared paper sweep suites
-/// (eval/paper_sweeps.h) from the CLI — identical specs, tables, JSON,
-/// and exit-code discipline as the bench binaries.
+/// The `sweep` subcommand: runs the paper sweep suites
+/// (eval/paper_sweeps.h).
 int RunSweepCommand(const common::FlagParser& flags) {
-  if (flags.Has("solvers")) {
-    std::vector<std::string> names;
-    for (const auto& piece :
-         common::Split(flags.GetString("solvers", ""), ',')) {
-      const auto trimmed = common::Trim(piece);
-      if (!trimmed.empty()) names.emplace_back(trimmed);
-    }
-    eval::SetSweepSolverFilter(std::move(names));
+  std::vector<std::string> solvers;
+  for (const auto& piece :
+       common::Split(flags.GetString("solvers", ""), ',')) {
+    const auto trimmed = common::Trim(piece);
+    if (!trimmed.empty()) solvers.emplace_back(trimmed);
   }
-  if (flags.Has("json-dir")) {
-    setenv("GF_BENCH_JSON", flags.GetString("json-dir", "").c_str(),
-           /*overwrite=*/1);
-  }
+  const std::string json_dir = flags.GetString("json-dir", "");
   const auto& positional = flags.positional();
   if (positional.size() < 2) {
     // Listing the suites is the documented behavior of a bare `sweep`,
@@ -237,12 +229,13 @@ int RunSweepCommand(const common::FlagParser& flags) {
   if (choice == "all") {
     int exit_code = 0;
     for (const auto& name : eval::PaperSuiteNames()) {
-      exit_code = std::max(exit_code, eval::RunPaperSuiteMain(name));
+      exit_code = std::max(
+          exit_code, eval::RunPaperSuiteMain(name, solvers, json_dir));
       std::printf("\n");
     }
     return exit_code;
   }
-  return eval::RunPaperSuiteMain(choice);
+  return eval::RunPaperSuiteMain(choice, solvers, json_dir);
 }
 
 /// Assembles a protocol request from the CLI's data/problem flags: the
